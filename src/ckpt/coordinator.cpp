@@ -153,8 +153,10 @@ Result<Snapshot> Coordinator::capture() {
   }
 
   pilot::UnitManager* manager = session_.unit_manager();
-  for (const auto& unit : plugin_->all_units()) {
-    UnitRecord record;
+  const std::vector<pilot::ComputeUnitPtr> units = plugin_->all_units();
+  snap.units.reserve(units.size());
+  for (const auto& unit : units) {
+    UnitRecord& record = snap.units.emplace_back();
     record.uid = unit->uid();
     record.description = unit->description();
     record.state = unit->save_state();
@@ -164,7 +166,6 @@ Result<Snapshot> Coordinator::capture() {
                         "unit " + record.uid +
                             " is not managed; cannot checkpoint");
     }
-    snap.units.push_back(std::move(record));
   }
   snap.pattern_overhead = plugin_->pattern_overhead();
   snap.unit_manager = manager->save_state();

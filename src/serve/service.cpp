@@ -436,12 +436,22 @@ std::shared_ptr<Service::Workload> Service::pop_admissible() {
     if (!open) continue;
     std::shared_ptr<Workload> taken = candidate;
     queue_.erase(it);
+    // Counted as running under the same lock as the pop, so drain()
+    // sees the workload as queued or running for as long as
+    // start_workload() takes to start it. Its failure paths undo this.
+    ++running_count_;
     return taken;
   }
   return nullptr;
 }
 
 void Service::start_workload(const std::shared_ptr<Workload>& workload) {
+  const auto fail = [this, &workload](Status status) {
+    finish_workload(workload, WorkloadState::kFailed, std::move(status),
+                    nullptr);
+    MutexLock lock(mailbox_mutex_);
+    --running_count_;  // taken by pop_admissible()
+  };
   core::SessionOptions options;
   options.name = workload->session_name;
   options.resources.cores = workload->spec.cores;
@@ -456,20 +466,18 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
 
   auto session = runtime_->create_session(std::move(options));
   if (!session.ok()) {
-    finish_workload(workload, WorkloadState::kFailed, session.status(),
-                    nullptr);
+    fail(session.status());
     return;
   }
   workload->session = session.take();
   const Status allocated = workload->session->allocate();
   if (!allocated.is_ok()) {
-    finish_workload(workload, WorkloadState::kFailed, allocated, nullptr);
+    fail(allocated);
     return;
   }
   auto pattern = core::build_pattern(workload->spec);
   if (!pattern.ok()) {
-    finish_workload(workload, WorkloadState::kFailed, pattern.status(),
-                    nullptr);
+    fail(pattern.status());
     return;
   }
   workload->pattern = pattern.take();
@@ -479,7 +487,7 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
   const Status started =
       workload->session->start_run(*workload->pattern, /*deferred=*/true);
   if (!started.is_ok()) {
-    finish_workload(workload, WorkloadState::kFailed, started, nullptr);
+    fail(started);
     return;
   }
   workload->executor = workload->session->run_executor();
@@ -497,10 +505,6 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
     ++owner.active_sessions;
     owner.peak_active_sessions =
         std::max(owner.peak_active_sessions, owner.active_sessions);
-  }
-  {
-    MutexLock lock(mailbox_mutex_);
-    ++running_count_;
   }
   metrics()
       .histogram(obs::WellKnownHistogram::kServeQueueWaitSeconds)

@@ -298,6 +298,51 @@ TEST(ServeService, WeightedFairShareTracksWeightsUnderContention) {
   EXPECT_EQ(stats.completed, 16u);
 }
 
+TEST(ServeService, DrainNeverReturnsWhileAWorkloadIsStarting) {
+  // The drive thread takes a workload off the queue, then creates,
+  // allocates and starts its session. A drain() that lands between the
+  // two must still see the workload as running, or it returns early
+  // and the STATUS below reads a workload that is not DONE yet. Waiting
+  // for the queue to empty first aims each drain() at that window.
+  Driven driven(ServiceConfig{});
+  // A wide bag keeps start_run() (the graph compile) long enough for
+  // the window to show.
+  constexpr std::size_t kUnits = 256;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    auto id = driven.service->submit("alice", bag_spec(kUnits));
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+    while (driven.service->stats().queue_depth != 0) {
+      std::this_thread::yield();
+    }
+    driven.service->drain();
+    auto status = driven.service->status(id.value());
+    ASSERT_TRUE(status.ok());
+    ASSERT_EQ(status.value().state, WorkloadState::kDone)
+        << "drain() returned before workload " << id.value()
+        << " finished (cycle " << cycle << ")";
+    EXPECT_EQ(status.value().units_done, kUnits);
+  }
+}
+
+TEST(ServeService, WorkloadThatFailsToStartLeavesNothingRunning) {
+  // start_workload()'s failure paths must give back the running count
+  // the pop took, or this drain() never returns.
+  Driven driven(ServiceConfig{});
+  // An unknown scheduler policy passes SUBMIT and fails allocate().
+  core::WorkloadSpec spec = bag_spec(4);
+  spec.scheduler = "no-such-policy";
+  auto id = driven.service->submit("alice", spec);
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  driven.service->drain();
+  auto status = driven.service->status(id.value());
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().state, WorkloadState::kFailed);
+  EXPECT_NE(status.value().outcome.message().find("no-such-policy"),
+            std::string::npos)
+      << status.value().outcome.to_string();
+  EXPECT_EQ(driven.service->stats().active_sessions, 0u);
+}
+
 // ---------------------------------------------------------------------
 // Protocol entry point (socket-free)
 // ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "core/workload_file.hpp"
 
@@ -281,6 +282,70 @@ TEST(RunWorkload, LoadFromDiskAndRunLocally) {
   EXPECT_EQ(report.value().units.size(), 3u);
   std::filesystem::remove(path);
 }
+
+// ---------------------------------------------------------------------
+// Corruption sweep. entk-serve hands untrusted SUBMIT text to the same
+// parse_workload / build_pattern path entk-run uses, so every prefix and
+// every single-bit flip of the shipped examples must either parse or
+// fail with a Status: never throw, never crash (the asan-ubsan lane runs
+// this too).
+// ---------------------------------------------------------------------
+
+std::string read_example(const std::string& name) {
+  std::ifstream in(std::string(ENTK_EXAMPLES_DIR) + "/" + name,
+                   std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// What SUBMIT and the serve drive thread do with workload text short
+/// of running it; true when the variant parsed.
+bool parse_and_build(const std::string& text) {
+  auto spec = parse_workload(text);
+  if (!spec.ok()) {
+    EXPECT_FALSE(spec.status().message().empty());
+    return false;
+  }
+  auto pattern = build_pattern(spec.value());
+  if (pattern.ok()) (void)pattern.value()->validate();
+  return true;
+}
+
+class WorkloadCorruption : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(WorkloadCorruption, EveryTruncationParsesOrFails) {
+  const std::string text = read_example(GetParam());
+  ASSERT_FALSE(text.empty());
+  std::size_t parsed = 0;
+  for (std::size_t keep = 0; keep <= text.size(); ++keep) {
+    EXPECT_NO_THROW(parsed += parse_and_build(text.substr(0, keep)))
+        << "prefix of " << keep << " bytes";
+  }
+  EXPECT_GT(parsed, 0u);  // at least the whole file reaches build_pattern
+}
+
+TEST_P(WorkloadCorruption, EveryBitFlipParsesOrFails) {
+  const std::string original = read_example(GetParam());
+  ASSERT_FALSE(original.empty());
+  std::size_t parsed = 0;
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string text = original;
+      text[i] = static_cast<char>(text[i] ^ (1 << bit));
+      EXPECT_NO_THROW(parsed += parse_and_build(text))
+          << "byte " << i << " bit " << bit;
+    }
+  }
+  EXPECT_GT(parsed, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Examples, WorkloadCorruption, ::testing::Values("bag.entk", "sal.entk"),
+    [](const ::testing::TestParamInfo<const char*>& example) {
+      const std::string file = example.param;
+      return file.substr(0, file.find('.'));
+    });
 
 }  // namespace
 }  // namespace entk::core
