@@ -590,28 +590,28 @@ struct ParallelRuntimeProbe {
 /// in flight at once, and the wall-clock ratio against the one-thread
 /// run is the concurrency actually delivered. (Blocking kernels also
 /// make the measurement meaningful on single-core CI runners, where a
-/// cpu-bound sweep could never beat 1x.) Each external submission
-/// spawns half its work as a submit_local continuation, so the sweep
-/// exercises the per-worker deques and the steal path, not just the
-/// shared inject queue.
+/// cpu-bound sweep could never beat 1x.) One external seed task
+/// spawns the whole batch as submit_local continuations, so it piles
+/// onto the seed worker's deque: every other worker finds its own
+/// deque and the inject queue empty and can only get work by
+/// stealing, which main() gates (stolen > 0 at 4+ threads).
 ParallelRuntimeProbe run_parallel_probe(
     std::size_t n_tasks, double block_ms,
     const std::vector<std::size_t>& thread_counts) {
   ParallelRuntimeProbe probe;
   probe.n_tasks = n_tasks;
   probe.task_block_ms = block_ms;
-  const auto half_block = std::chrono::microseconds(
-      static_cast<std::int64_t>(block_ms * 500.0));
+  const auto block = std::chrono::microseconds(
+      static_cast<std::int64_t>(block_ms * 1000.0));
   for (const std::size_t threads : thread_counts) {
     WorkStealingPool pool(threads);
     const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < n_tasks; ++i) {
-      pool.submit_external(TaskFn([&pool, half_block] {
-        std::this_thread::sleep_for(half_block);
-        (void)pool.submit_local(TaskFn(
-            [half_block] { std::this_thread::sleep_for(half_block); }));
-      }));
-    }
+    pool.submit_external(TaskFn([&pool, n_tasks, block] {
+      for (std::size_t i = 0; i < n_tasks; ++i) {
+        (void)pool.submit_local(
+            TaskFn([block] { std::this_thread::sleep_for(block); }));
+      }
+    }));
     pool.wait_idle();
     ParallelPoint point;
     point.threads = threads;
@@ -1000,6 +1000,16 @@ int main(int argc, char** argv) {
               << format_double(parallel_probe.speedup_at(4), 2)
               << "x below the 2x floor\n";
     return 1;
+  }
+  // The batch piles onto one deque, so at 4+ workers the others can
+  // only get work by stealing: zero steals means the steal path went
+  // unexercised, and the speedup above was not the pool's doing.
+  for (const ParallelPoint& p : parallel_probe.points) {
+    if (p.threads >= 4 && p.stolen == 0) {
+      std::cerr << "BENCH FAILURE: parallel runtime stole no task at "
+                << p.threads << " threads\n";
+      return 1;
+    }
   }
   // Serve gates: admission must not shed from a queue sized for the
   // storm, every workload must complete, equal weights must dispatch

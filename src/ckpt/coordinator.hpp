@@ -96,9 +96,9 @@ class Coordinator final : public core::GraphRunObserver {
   /// Rebuilds the runtime state of `snapshot` into the (freshly
   /// allocated) session: verifies identity, restores the engine clock,
   /// uid counters, units, unit manager, agents and fault model, and
-  /// reposts the captured pending events. The next pattern.execute()
-  /// with this coordinator attached as graph-run observer then resumes
-  /// instead of starting over. The caller must have reset the uid
+  /// reposts the captured pending events. The session's next run of a
+  /// pattern with this coordinator attached as graph-run observer then
+  /// resumes instead of starting over. The caller must have reset the uid
   /// counters BEFORE allocate() so the pilot uid replay matches the
   /// snapshot: reset_uid_counters_with_prefix(session name) for a
   /// named session (which cannot stomp other live sessions), or

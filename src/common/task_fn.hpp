@@ -3,12 +3,12 @@
 // std::function<void()> heap-allocates any capture larger than its
 // (implementation-defined, typically two-pointer) inline buffer, and
 // requires copyability — so every task submitted to a pool paid an
-// allocation plus a copyable-wrapper tax. TaskFn is the task-slot
-// replacement used by ThreadPool and WorkStealingPool: 48 bytes of
-// inline storage (a pool task captures a couple of shared_ptrs and a
-// this pointer; see bench/micro_components.cpp for the measured
-// allocation-count drop), move-only so tasks can own unique_ptrs, and
-// a two-pointer vtable (invoke/move-destroy) instead of RTTI.
+// allocation plus a copyable-wrapper tax. TaskFn is the task slot
+// WorkStealingPool runs: 48 bytes of inline storage (a pool task
+// captures a couple of shared_ptrs and a this pointer; see
+// bench/micro_components.cpp for the measured allocation-count drop),
+// move-only so tasks can own unique_ptrs, and a two-pointer vtable
+// (invoke/move-destroy) instead of RTTI.
 #pragma once
 
 #include <cstddef>

@@ -92,18 +92,13 @@ Result<std::vector<pilot::ComputeUnitPtr>> ExecutionPlugin::submit(
   return units;
 }
 
-Status ExecutionPlugin::drive_until(const std::function<bool()>& done) {
-  return backend_.drive_until(done);
-}
-
-bool ExecutionPlugin::subscribe_settled(SettledFn fn) {
+void ExecutionPlugin::subscribe_settled(SettledFn fn) {
   const std::size_t token =
       unit_manager_.add_settled_observer(std::move(fn));
   MutexLock lock(mutex_);
   ENTK_CHECK(!settled_token_.has_value(),
              "execution plugin already has a settled subscription");
   settled_token_ = token;
-  return true;
 }
 
 void ExecutionPlugin::unsubscribe_settled() {

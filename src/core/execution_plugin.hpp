@@ -36,10 +36,9 @@ class ExecutionPlugin final : public PatternExecutor {
 
   Result<std::vector<pilot::ComputeUnitPtr>> submit(
       const std::vector<TaskSpec>& specs) override;
-  Status drive_until(const std::function<bool()>& done) override;
   /// Forwards unit-settled events from the unit manager to the graph
   /// executor (at most one subscription at a time).
-  bool subscribe_settled(SettledFn fn) override;
+  void subscribe_settled(SettledFn fn) override;
   void unsubscribe_settled() override;
 
   /// Translates a single spec without submitting (exposed for tests

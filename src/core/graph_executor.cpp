@@ -1,8 +1,7 @@
 #include "core/graph_executor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
+#include <iterator>
 #include <utility>
 
 #include "common/log.hpp"
@@ -39,38 +38,9 @@ bool is_settled_status(NodeStatus status) {
 
 }  // namespace
 
-void watch_unit(const pilot::ComputeUnitPtr& unit,
-                std::function<void(pilot::ComputeUnit&,
-                                   pilot::UnitState)> handler) {
-  auto fired = std::make_shared<std::atomic<bool>>(false);
-  auto shared_handler = std::make_shared<
-      std::function<void(pilot::ComputeUnit&, pilot::UnitState)>>(
-      std::move(handler));
-  unit->on_state_change(
-      [fired, shared_handler](pilot::ComputeUnit& changed,
-                              pilot::UnitState) {
-        if (!unit_settled(changed)) return;
-        if (fired->exchange(true)) return;
-        (*shared_handler)(changed, changed.state());
-      });
-  // The unit may already be final (fast local execution).
-  if (unit_settled(*unit) && !fired->exchange(true)) {
-    (*shared_handler)(*unit, unit->state());
-  }
-}
-
-GraphExecutor::GraphExecutor(TaskGraph& graph, PatternExecutor& executor)
-    : graph_(graph), executor_(executor) {}
-
-Status GraphExecutor::run() {
-  ENTK_RETURN_IF_ERROR(start());
-  return drive_run();
-}
-
-Status GraphExecutor::resume() {
-  ENTK_RETURN_IF_ERROR(start_resumed());
-  return drive_run();
-}
+GraphExecutor::GraphExecutor(TaskGraph& graph, PatternExecutor& executor,
+                             bool deferred)
+    : graph_(graph), executor_(executor), deferred_(deferred) {}
 
 Status GraphExecutor::start() {
   ENTK_RETURN_IF_ERROR(graph_.validate());
@@ -78,7 +48,7 @@ Status GraphExecutor::start() {
     MutexLock lock(mutex_);
     sync_graph_locked();
   }
-  use_events_ = executor_.subscribe_settled(
+  executor_.subscribe_settled(
       [this](const pilot::ComputeUnitPtr& unit, pilot::UnitState) {
         on_unit_settled(unit);
       });
@@ -88,7 +58,7 @@ Status GraphExecutor::start() {
 
 Status GraphExecutor::start_resumed() {
   ENTK_RETURN_IF_ERROR(graph_.validate());
-  use_events_ = executor_.subscribe_settled(
+  executor_.subscribe_settled(
       [this](const pilot::ComputeUnitPtr& unit, pilot::UnitState) {
         on_unit_settled(unit);
       });
@@ -106,23 +76,7 @@ Status GraphExecutor::outcome() const {
   return outcome_;
 }
 
-void GraphExecutor::unsubscribe() {
-  if (use_events_) executor_.unsubscribe_settled();
-  use_events_ = false;
-}
-
-Status GraphExecutor::drive_run() {
-  // The one wait of the whole pattern layer: a finished flag flipped
-  // by the event pump, not a progress predicate over units.
-  const Status driven = executor_.drive_until([this] {
-    MutexLock lock(mutex_);
-    return finished_;
-  });
-  unsubscribe();
-  ENTK_RETURN_IF_ERROR(driven);
-  MutexLock lock(mutex_);
-  return outcome_;
-}
+void GraphExecutor::unsubscribe() { executor_.unsubscribe_settled(); }
 
 NodeStatus GraphExecutor::node_status(NodeId id) const {
   MutexLock lock(mutex_);
@@ -140,37 +94,55 @@ void GraphExecutor::on_unit_settled(const pilot::ComputeUnitPtr& unit) {
     const auto it = node_of_.find(unit.get());
     if (it == node_of_.end()) return;  // not one of this graph's units
     events_.push_back({it->second, unit->state()});
-    if (deferred_) return;  // advance_local() drains it
   }
-  pump();
+  if (!deferred_) pump();  // held dispatch: advance_local() drains it
 }
 
-void GraphExecutor::set_deferred(bool deferred) {
-  MutexLock lock(mutex_);
-  deferred_ = deferred;
+void GraphExecutor::pump() {
+  // Under held dispatch every pump source (start, resume, cancel) only
+  // materializes the pending batch; the drive loop decides when — and
+  // how much of — it submits (flush_submit_bounded).
+  if (deferred_) {
+    (void)advance_local();
+    return;
+  }
+  if (!claim_pump()) return;
+  // The flag stays held across each flush: a unit that settles inside
+  // submit is queued for the next round, never pumped re-entrantly.
+  while (advance_round()) flush_submit();
 }
 
 bool GraphExecutor::advance_local() {
   if (!pending_frontier_.empty()) return true;  // unflushed batch
-  {
-    MutexLock lock(mutex_);
-    if (pumping_ || finished_) return false;
-    pumping_ = true;
-  }
+  if (!claim_pump() || !advance_round()) return false;
+  MutexLock lock(mutex_);
+  pumping_ = false;
+  return true;
+}
+
+bool GraphExecutor::claim_pump() {
+  MutexLock lock(mutex_);
+  if (pumping_ || finished_) return false;
+  pumping_ = true;
+  return true;
+}
+
+bool GraphExecutor::advance_round() {
   for (;;) {
     std::vector<NodeId> frontier;
     {
       MutexLock lock(mutex_);
-      if (finished_) {
-        pumping_ = false;
-        return false;
+      if (!finished_) {
+        sync_graph_locked();
+        apply_events_locked();
+        decide_stage_groups_locked();
+        propagate_skips_locked();
+        frontier = frontier_locked();
       }
-      sync_graph_locked();
-      apply_events_locked();
-      decide_stage_groups_locked();
-      propagate_skips_locked();
-      frontier = frontier_locked();
-      if (frontier.empty() && inflight_ > 0) {
+      if (finished_ || (frontier.empty() && inflight_ > 0)) {
+        // Nothing unblocked; settlements will pump again. The queue is
+        // empty here (drained above) and enqueuing takes this lock, so
+        // no event can slip past the flag.
         pumping_ = false;
         return false;
       }
@@ -178,10 +150,9 @@ bool GraphExecutor::advance_local() {
     if (!frontier.empty()) {
       pending_specs_ = materialize_specs(frontier);
       pending_frontier_ = std::move(frontier);
-      MutexLock lock(mutex_);
-      pumping_ = false;
       return true;
     }
+    // Quiesced: nothing ready, nothing in flight.
     if (!handle_quiesce()) {
       MutexLock lock(mutex_);
       pumping_ = false;
@@ -222,10 +193,13 @@ std::size_t GraphExecutor::flush_submit_bounded(std::size_t max_nodes) {
 }
 
 std::vector<pilot::ComputeUnitPtr> GraphExecutor::cancel(Status reason) {
-  // The unflushed deferred batch would submit units for nodes the
-  // abort sweep is about to retire — drop it before marking the abort.
-  pending_frontier_.clear();
-  pending_specs_.clear();
+  // The unflushed held batch would submit units for nodes the abort
+  // sweep is about to retire — drop it before marking the abort. (The
+  // settle-time pump holds a batch only inside its own round.)
+  if (deferred_) {
+    pending_frontier_.clear();
+    pending_specs_.clear();
+  }
   std::vector<pilot::ComputeUnitPtr> inflight;
   {
     MutexLock lock(mutex_);
@@ -246,58 +220,6 @@ std::vector<pilot::ComputeUnitPtr> GraphExecutor::cancel(Status reason) {
   // settlements finish it through the normal event path.
   pump();
   return inflight;
-}
-
-void GraphExecutor::pump() {
-  bool deferred;
-  {
-    MutexLock lock(mutex_);
-    deferred = deferred_;
-  }
-  // In deferred mode every pump source (start, cancel, resume) only
-  // materializes the pending batch; the driver decides when — and how
-  // much of — it submits (flush_submit / flush_submit_bounded).
-  if (deferred) {
-    (void)advance_local();
-    return;
-  }
-  {
-    MutexLock lock(mutex_);
-    if (pumping_ || finished_) return;
-    pumping_ = true;
-  }
-  for (;;) {
-    std::vector<NodeId> frontier;
-    {
-      MutexLock lock(mutex_);
-      if (finished_) {
-        pumping_ = false;
-        return;
-      }
-      sync_graph_locked();
-      apply_events_locked();
-      decide_stage_groups_locked();
-      propagate_skips_locked();
-      frontier = frontier_locked();
-      if (frontier.empty() && inflight_ > 0) {
-        // Nothing unblocked; settlements will pump again. The queue is
-        // empty here (drained above) and enqueuing takes this lock, so
-        // no event can slip past the flag.
-        pumping_ = false;
-        return;
-      }
-    }
-    if (!frontier.empty()) {
-      submit_frontier(frontier);
-      continue;
-    }
-    // Quiesced: nothing ready, nothing in flight.
-    if (!handle_quiesce()) {
-      MutexLock lock(mutex_);
-      pumping_ = false;
-      return;
-    }
-  }
 }
 
 void GraphExecutor::sync_graph_locked() {
@@ -578,11 +500,6 @@ std::vector<NodeId> GraphExecutor::frontier_locked() {
   return ready;
 }
 
-void GraphExecutor::submit_frontier(const std::vector<NodeId>& frontier) {
-  std::vector<TaskSpec> specs = materialize_specs(frontier);
-  submit_specs(frontier, specs);
-}
-
 std::vector<TaskSpec> GraphExecutor::materialize_specs(
     const std::vector<NodeId>& frontier) {
   // Specs are produced here — at submission time, outside any lock —
@@ -666,12 +583,7 @@ void GraphExecutor::adopt_unit(NodeId id,
   }
   const UnitSink& sink = graph_.node(id).sink;
   if (sink) sink(unit);
-  if (!use_events_) {
-    watch_unit(unit, [this, unit](pilot::ComputeUnit&,
-                                  pilot::UnitState) {
-      on_unit_settled(unit);
-    });
-  } else if (unit_settled(*unit)) {
+  if (unit_settled(*unit)) {
     // The unit settled synchronously during submission (an oversized
     // unit fails before routing): the settled observer fired before
     // this node was registered, so poll once. Duplicate events are

@@ -12,9 +12,9 @@
 // When the graph quiesces (nothing ready, nothing in flight) the
 // executor evaluates chain-set verdicts and runs the graph's expanders
 // (innermost-first) to grow the next generation; when the expanders
-// are exhausted too, the run finishes and the single outer
-// drive_until — waiting on a finished flag, the one wait in the whole
-// pattern layer — returns.
+// are exhausted too, the run finishes. The executor never waits: its
+// caller (Session::run, Runtime::run_concurrent, entk-serve's drive
+// loop) drives the backend until finished() holds.
 //
 // Failure semantics (owned here, not by patterns):
 //  - A stage group's verdict (fail-fast / continue / quorum over its
@@ -49,34 +49,19 @@ enum class NodeStatus {
   kSkipped,    ///< Abandoned: an upstream failure or a graph abort.
 };
 
-/// Registers `handler` to run exactly once when `unit` settles into a
-/// *final* state. Handles the already-final and retry-pending cases
-/// (a kFailed notification that the unit manager immediately retried
-/// is not final). The executor's fallback event source for
-/// PatternExecutor implementations without settled subscriptions.
-void watch_unit(const pilot::ComputeUnitPtr& unit,
-                std::function<void(pilot::ComputeUnit&,
-                                   pilot::UnitState)> handler);
-
 class GraphExecutor {
  public:
-  GraphExecutor(TaskGraph& graph, PatternExecutor& executor);
+  /// With `deferred` the executor holds dispatch for its whole life:
+  /// see the held-dispatch block below. Otherwise every settlement
+  /// pumps the graph and submits what it unblocked before returning.
+  GraphExecutor(TaskGraph& graph, PatternExecutor& executor,
+                bool deferred = false);
 
-  /// Runs the graph to completion and returns the pattern verdict:
-  /// OK, the first failure filtered through the graph's failure
-  /// scopes, or the backend's wait error (deadlock, timeout).
-  Status run();
-
-  /// Continues a run rebuilt from a checkpoint: same event loop as
-  /// run(), but the graph and executor state were injected by
-  /// restore_state() instead of starting from scratch.
-  Status resume();
-
-  // --- non-blocking run control (Runtime::run_concurrent) ---
-  // run() is start() + drive_until(finished) + unsubscribe() +
-  // outcome();
-  // splitting it lets one backend drive N sessions' executors under a
-  // single wait instead of serializing whole runs.
+  // --- non-blocking run control ---
+  // A run is start() (or start_resumed()), a drive of the backend
+  // until finished(), then unsubscribe() and outcome(); the caller
+  // owns the wait, so one backend drive can advance N sessions'
+  // executors together.
   /// Validates and syncs the graph, subscribes to settled events and
   /// pumps the initial frontier. Events now advance the graph whenever
   /// anything drives the backend.
@@ -93,40 +78,38 @@ class GraphExecutor {
   /// executor no longer reacts to settlements.
   void unsubscribe();
 
-  // --- deferred pumping (Runtime::run_concurrent parallel path) ---
-  // In deferred mode a settlement only queues its event; the graph
-  // advances when the driver calls advance_local() (parallelizable
+  // --- held dispatch (entk-serve's fair-share scheduler) ---
+  // A deferred executor never submits on its own: a settlement only
+  // queues its event, and start()/cancel() only materialize. The
+  // drive loop advances the graph with advance_local() (parallelizable
   // across sessions — it touches only this executor's state and the
-  // user SpecFns) followed by flush_submit() (serial — the backend is
-  // shared across sessions and not thread-safe). advance_local and
-  // flush_submit for ONE executor must not run concurrently with each
-  // other; Runtime alternates a parallel advance phase and a serial
-  // flush phase.
-  /// Enables/disables deferred mode. Toggle only between engine steps
-  /// (no settlement callback in flight, no pending batch unflushed).
-  void set_deferred(bool deferred) ENTK_EXCLUDES(mutex_);
-  /// Parallel-safe half of one pump round: applies queued settlement
-  /// events, decides groups, propagates skips, computes the next
-  /// frontier and materializes its specs — everything except the
-  /// submission itself. Returns true when flush_submit() has a batch.
+  // user SpecFns) and submits with flush_submit_bounded() (serial —
+  // the backend is shared across sessions and not thread-safe), both
+  // between engine steps. advance_local and the flushes for ONE
+  // executor must not run concurrently with each other.
+  /// One advance round, everything but the submission: applies queued
+  /// settlement events, decides groups, propagates skips, computes the
+  /// next frontier and materializes its specs. Returns true when a
+  /// batch is pending (including one left from an earlier bounded
+  /// flush).
   bool advance_local() ENTK_EXCLUDES(mutex_);
-  /// Serial half: submits the batch advance_local() materialized, in
-  /// node-id order. Returns true when anything was submitted (another
-  /// advance round may unblock more work).
+  /// Submits the pending batch, in node-id order. Returns true when
+  /// anything was submitted (another advance round may unblock more
+  /// work). The settle-time pump calls it after each of its rounds.
   bool flush_submit() ENTK_EXCLUDES(mutex_);
-  /// Bounded serial half: submits at most `max_nodes` of the pending
-  /// batch (lowest node ids first) and keeps the remainder pending for
-  /// a later flush — the dispatch hook serve's deficit-round-robin
+  /// Bounded flush: submits at most `max_nodes` of the pending batch
+  /// (lowest node ids first) and keeps the remainder pending for a
+  /// later flush — the dispatch hook serve's deficit-round-robin
   /// interleaves contending sessions through. Returns the number of
-  /// nodes actually submitted. Driver-thread only, like flush_submit.
+  /// nodes actually submitted. Driver-thread only.
   std::size_t flush_submit_bounded(std::size_t max_nodes)
       ENTK_EXCLUDES(mutex_);
-  /// Nodes advance_local() materialized that flush_submit has not yet
-  /// sent. Driver-thread only (reads the unannotated batch).
+  /// Nodes advance_local() materialized that no flush has sent yet.
+  /// Driver-thread only (reads the unannotated batch).
   std::size_t pending_submits() const { return pending_frontier_.size(); }
 
   // --- cancellation (Session::cancel_run) ---
-  /// Aborts an unfinished run with `reason`: discards any deferred
+  /// Aborts an unfinished run with `reason`: discards any held
   /// batch not yet flushed (its nodes are about to be swept), marks
   /// the graph aborted so the one-shot skip sweep retires every
   /// unsubmitted node, and returns the units still in flight so the
@@ -134,7 +117,7 @@ class GraphExecutor {
   /// settlements drain through the normal event path and the run
   /// finishes with `reason` at quiesce. Returns an empty vector on an
   /// already-finished run. Driver-thread only (must not race an
-  /// active advance_local/flush_submit round).
+  /// active pump or advance_local/flush round).
   std::vector<pilot::ComputeUnitPtr> cancel(Status reason)
       ENTK_EXCLUDES(mutex_);
 
@@ -186,8 +169,6 @@ class GraphExecutor {
       ENTK_EXCLUDES(mutex_);
 
  private:
-  /// Shared blocking tail of run()/resume(): wait, detach, verdict.
-  Status drive_run();
   struct Event {
     NodeId node;
     pilot::UnitState state;
@@ -204,25 +185,35 @@ class GraphExecutor {
     bool passed = false;
   };
 
-  /// Event entry point: queues the settlement and pumps the graph.
-  /// Safe against re-entrancy — a settlement arriving while a pump is
-  /// active (submission callbacks, local-backend worker threads) is
-  /// queued and drained by the active pump.
+  /// Event entry point: queues the settlement and, unless dispatch is
+  /// held, pumps the graph. Safe against re-entrancy — a settlement
+  /// arriving while a pump is active (a unit failing inside submit,
+  /// local-backend worker threads) is queued and drained by the active
+  /// pump.
   void on_unit_settled(const pilot::ComputeUnitPtr& unit)
       ENTK_EXCLUDES(mutex_);
+  /// The settle-time pump: advance rounds, each followed by
+  /// flush_submit(), until nothing more is unblocked. Under held
+  /// dispatch it only runs advance_local().
   void pump() ENTK_EXCLUDES(mutex_);
+  /// Claims the pump flag; false when another pump holds it or the
+  /// run has finished.
+  bool claim_pump() ENTK_EXCLUDES(mutex_);
+  /// Advance rounds with the pump flag held, until a batch is pending
+  /// (returns true, flag still held) or nothing can be submitted now
+  /// (returns false, flag released under the same lock that decided
+  /// it, so no queued event slips past).
+  bool advance_round() ENTK_EXCLUDES(mutex_);
   /// Quiesced: abort resolution, chain-set verdicts, expanders.
   /// Returns true when an expander scheduled more work.
   bool handle_quiesce() ENTK_EXCLUDES(mutex_);
-  void submit_frontier(const std::vector<NodeId>& frontier)
-      ENTK_EXCLUDES(mutex_);
   /// Produces the frontier's specs at submission time, outside any
   /// lock — across the parallel pool when one is configured and the
   /// batch is large enough.
   std::vector<TaskSpec> materialize_specs(
       const std::vector<NodeId>& frontier) ENTK_EXCLUDES(mutex_);
   /// Submits an already-materialized batch and adopts the units (the
-  /// back half of submit_frontier; also the flush_submit work).
+  /// flush_submit work).
   void submit_specs(const std::vector<NodeId>& frontier,
                     std::vector<TaskSpec>& specs) ENTK_EXCLUDES(mutex_);
   void adopt_unit(NodeId id, const pilot::ComputeUnitPtr& unit)
@@ -248,8 +239,8 @@ class GraphExecutor {
 
   TaskGraph& graph_;
   PatternExecutor& executor_;
-  /// Whether the executor delivers settled events (else watch_unit).
-  bool use_events_ = false;
+  /// Held dispatch, fixed at construction (see the block above).
+  const bool deferred_;
 
   mutable Mutex mutex_{LockRank::kGraphExecutor};
   std::vector<NodeRun> runs_ ENTK_GUARDED_BY(mutex_);
@@ -284,10 +275,10 @@ class GraphExecutor {
   std::size_t inflight_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t submitted_count_ ENTK_GUARDED_BY(mutex_) = 0;
   bool pumping_ ENTK_GUARDED_BY(mutex_) = false;
-  bool deferred_ ENTK_GUARDED_BY(mutex_) = false;
-  /// The batch advance_local() materialized for flush_submit().
-  /// Unannotated by design: the advance/flush alternation (documented
-  /// above) is the synchronization, not mutex_.
+  /// The batch an advance round materialized for the next flush.
+  /// Unannotated by design: the pump flag (settle-time pump) or the
+  /// drive loop's advance/flush alternation (held dispatch) is the
+  /// synchronization, not mutex_.
   std::vector<NodeId> pending_frontier_;
   std::vector<TaskSpec> pending_specs_;
   bool aborted_ ENTK_GUARDED_BY(mutex_) = false;

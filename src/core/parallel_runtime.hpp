@@ -1,11 +1,12 @@
 // Process-wide work-stealing pool for the core runtime layer.
 //
-// One pool, configured once at startup (entk-run --runtime-threads,
+// One pool, configured once at startup (entk-serve --runtime-threads,
 // bench flags, test fixtures), shared by every core consumer:
-// GraphExecutor materializes frontier specs across it and
-// Runtime::run_concurrent advances independent sessions' executor
-// pumps as pool tasks. Disabled (nullptr) by default — the serial
-// paths are byte-identical to the pre-pool runtime.
+// GraphExecutor materializes large frontier batches' specs across it
+// inside the pump, and entk-serve's advance phase advances its
+// sessions' held-dispatch executors as pool tasks. It never decides
+// when a graph pumps, so schedules do not depend on its size.
+// Disabled (nullptr) by default — the serial paths are byte-identical.
 //
 // The pilot and saga layers do NOT use this pool: LocalAgent and
 // LocalAdaptor own their pools (they sit below core in the module

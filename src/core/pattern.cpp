@@ -20,19 +20,11 @@ bool ExecutionPattern::GraphRun::finished() const {
 
 // The one orchestration path shared by every pattern: validate,
 // compile to an explicit TaskGraph, hand the graph to the event-driven
-// executor. Patterns never touch the runtime directly any more — all
-// waiting, failure policy and retry bookkeeping lives in the executor.
-// Split into a non-blocking start and a blocking finish so
+// executor. Patterns never touch the runtime directly — all waiting,
+// failure policy and retry bookkeeping lives outside them. Split into
+// a non-blocking start and a finish so the caller owns the wait and
 // Runtime::run_concurrent can interleave N patterns' graphs under one
-// backend wait; execute() is the single-run composition of the two.
-Status ExecutionPattern::execute(PatternExecutor& executor) {
-  GraphRun run;
-  ENTK_RETURN_IF_ERROR(start_execute(run, executor));
-  const Status driven =
-      executor.drive_until([&run] { return run.finished(); });
-  return finish_execute(run, driven);
-}
-
+// backend drive.
 Status ExecutionPattern::start_execute(GraphRun& run,
                                        PatternExecutor& executor,
                                        bool deferred) {
@@ -40,8 +32,7 @@ Status ExecutionPattern::start_execute(GraphRun& run,
   ENTK_RETURN_IF_ERROR(validate());
   auto graph = std::make_unique<TaskGraph>();
   ENTK_RETURN_IF_ERROR(compile(*graph));
-  auto runner = std::make_unique<GraphExecutor>(*graph, executor);
-  if (deferred) runner->set_deferred(true);
+  auto runner = std::make_unique<GraphExecutor>(*graph, executor, deferred);
   bool resuming = false;
   if (graph_run_observer_ != nullptr) {
     auto prepared =

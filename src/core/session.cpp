@@ -5,7 +5,6 @@
 
 #include "common/log.hpp"
 #include "core/graph_executor.hpp"
-#include "core/parallel_runtime.hpp"
 #include "obs/trace.hpp"
 
 namespace entk::core {
@@ -388,44 +387,9 @@ Result<std::vector<RunReport>> Runtime::run_concurrent(
     return start_error;
   }
 
-  // Parallel session advancement: with a parallel pool configured and
-  // several sessions in flight, each executor defers its pumping —
-  // settlements only queue events during the engine step, and the
-  // wait predicate below advances every session's graph as pool tasks
-  // (the sessions share no graph state), then flushes the resulting
-  // submissions serially in session order (the backend is shared and
-  // not thread-safe). The predicate runs between engine steps, so no
-  // settlement callback is ever in flight while the pool advances.
-  WorkStealingPool* pool = parallel_pool();
-  std::vector<GraphExecutor*> executors;
-  if (pool != nullptr && runs.size() > 1) {
-    for (const SessionRun& entry : runs) {
-      GraphExecutor* executor = entry.session->run_executor();
-      if (executor != nullptr) {
-        executor->set_deferred(true);
-        executors.push_back(executor);
-      }
-    }
-  }
-  const auto advance_sessions = [&executors, pool] {
-    for (;;) {
-      pool->parallel_for(executors.size(), [&executors](std::size_t i) {
-        executors[i]->advance_local();
-      });
-      bool any_submitted = false;
-      for (GraphExecutor* executor : executors) {
-        if (executor->flush_submit()) any_submitted = true;
-      }
-      // A flushed submission can unblock further frontiers (fast
-      // synchronous settlement), so advance again until quiescent.
-      if (!any_submitted) return;
-    }
-  };
-
   // The one wait: a single drive interleaves every session's events
   // on the shared backend.
-  const auto all_finished = [&runs, &executors, &advance_sessions] {
-    if (!executors.empty()) advance_sessions();
+  const auto all_finished = [&runs] {
     return std::all_of(runs.begin(), runs.end(),
                        [](const SessionRun& entry) {
                          return entry.session->run_finished();
@@ -434,9 +398,6 @@ Result<std::vector<RunReport>> Runtime::run_concurrent(
   Status driven = Status::ok();
   if (!all_finished()) {
     driven = backend_.drive_until(all_finished, timeout);
-  }
-  for (GraphExecutor* executor : executors) {
-    executor->set_deferred(false);
   }
 
   std::vector<RunReport> reports;

@@ -138,10 +138,10 @@ class Session : public std::enable_shared_from_this<Session> {
   /// (validation, compile, submission) do NOT fail start_run — the
   /// run is born finished and finish_run reports them as the outcome,
   /// exactly as the blocking run() does.
-  /// With `deferred` the run's executor starts in deferred-pumping
-  /// mode: even the initial frontier only lands in the pending batch,
+  /// With `deferred` the run's executor holds dispatch for the whole
+  /// run: even the initial frontier only lands in the pending batch,
   /// so an external driver (entk-serve's fair-share scheduler) owns
-  /// every submission via flush_submit / flush_submit_bounded.
+  /// every submission via advance_local / flush_submit_bounded.
   Status start_run(ExecutionPattern& pattern, bool deferred = false);
   /// Whether a run is in flight (start_run succeeded, finish_run not
   /// yet called).
@@ -154,8 +154,8 @@ class Session : public std::enable_shared_from_this<Session> {
   /// builds the report.
   Result<RunReport> finish_run(Status driven);
   /// The in-flight run's graph executor; nullptr when no run is
-  /// active or the run failed to start. Runtime::run_concurrent's
-  /// parallel path toggles deferred pumping through it.
+  /// active or the run failed to start. entk-serve drives a held-
+  /// dispatch run through it.
   GraphExecutor* run_executor();
   /// Cancels an in-flight run: aborts the graph (unsubmitted nodes
   /// are swept to skipped) and cancels the units still in flight

@@ -481,7 +481,7 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
     return;
   }
   workload->pattern = pattern.take();
-  // Serve sessions start deferred: even the initial frontier stays in
+  // Serve sessions hold dispatch: even the initial frontier stays in
   // the pending batch, so the fair-share pass — not submission order —
   // decides every dispatch.
   const Status started =
@@ -530,10 +530,7 @@ void Service::drive_active() {
   // no session can settle, so fail every in-flight workload with the
   // drive verdict.
   for (const auto& workload : active_) {
-    if (workload->executor != nullptr) {
-      workload->executor->set_deferred(false);
-      workload->executor = nullptr;
-    }
+    workload->executor = nullptr;
     if (workload->session != nullptr && workload->session->run_active()) {
       (void)workload->session->finish_run(driven);
     }
@@ -680,10 +677,7 @@ void Service::reap_finished() {
       ++it;
       continue;
     }
-    if (workload->executor != nullptr) {
-      workload->executor->set_deferred(false);
-      workload->executor = nullptr;
-    }
+    workload->executor = nullptr;
     auto report = workload->session->finish_run(Status::ok());
     if (!report.ok()) {
       finish_workload(workload, WorkloadState::kFailed, report.status(),
@@ -705,10 +699,7 @@ void Service::reap_finished() {
 void Service::finish_workload(const std::shared_ptr<Workload>& workload,
                               WorkloadState state, Status outcome,
                               const core::RunReport* report) {
-  if (workload->executor != nullptr) {
-    workload->executor->set_deferred(false);
-    workload->executor = nullptr;
-  }
+  workload->executor = nullptr;
   if (workload->session != nullptr) {
     (void)workload->session->deallocate();
     workload->session.reset();

@@ -17,8 +17,8 @@
 //                       units per tenant, enforced at admission and
 //                       at dispatch respectively.
 //   weighted fair-share deficit round-robin over frontier dispatch:
-//                       every running session's graph executor defers
-//                       its pumping, and the drive predicate advances
+//                       every running session's graph executor holds
+//                       dispatch, and the drive predicate advances
 //                       all graphs in parallel (work-stealing pool),
 //                       then flushes ready nodes tenant-by-tenant in
 //                       weight-proportional quanta, bounded by a

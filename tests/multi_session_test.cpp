@@ -5,9 +5,10 @@
 // alone: same schedules, isolated failures, independent lifecycles.
 // These tests pin the four corners of that claim:
 //
-//  - Determinism: with private same-size pilots and zero global-clock
+//  - Determinism: with private pilots and zero global-clock
 //    overheads, a session's trace digest under run_concurrent is
-//    bit-identical to the same-seed solo run (uids AND timestamps).
+//    bit-identical to the same-seed solo run (uids AND timestamps),
+//    whatever the size of the work-stealing pool.
 //  - Failure isolation: one session's fail_fast abort leaves the
 //    other session's run converging untouched.
 //  - Checkpoint/resume: one session is captured and later resumed
@@ -30,6 +31,7 @@
 
 #include "ckpt/coordinator.hpp"
 #include "ckpt/snapshot.hpp"
+#include "common/rng.hpp"
 #include "common/uid.hpp"
 #include "core/entk.hpp"
 #include "core/parallel_runtime.hpp"
@@ -67,23 +69,24 @@ ResourceOptions session_options() {
   return options;
 }
 
-std::shared_ptr<Session> make_session(Runtime& runtime,
-                                      const std::string& name) {
-  auto session = runtime.create_session({name, session_options()});
+std::shared_ptr<Session> make_session(
+    Runtime& runtime, const std::string& name,
+    const ResourceOptions& options = session_options()) {
+  auto session = runtime.create_session({name, options});
   EXPECT_TRUE(session.ok()) << session.status().to_string();
   EXPECT_TRUE(session.value()->allocate().is_ok());
   return session.take();
 }
 
 /// Same-seed solo baseline: the named session alone on a fresh
-/// backend.
-std::uint64_t solo_digest(const std::string& name) {
+/// backend, running `pattern` on `options`.
+std::uint64_t solo_digest(const std::string& name, ExecutionPattern& pattern,
+                          const ResourceOptions& options) {
   reset_uid_counters_for_testing();
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
   pilot::SimBackend backend(multi_machine());
   Runtime runtime(backend, registry);
-  auto session = make_session(runtime, name);
-  BagOfTasks pattern = scale_test::scale_workload(kUnits);
+  auto session = make_session(runtime, name, options);
   auto report = session->run(pattern);
   EXPECT_TRUE(report.ok()) << report.status().to_string();
   if (!report.ok()) return 0;
@@ -91,6 +94,60 @@ std::uint64_t solo_digest(const std::string& name) {
       << report.value().outcome.to_string();
   EXPECT_EQ(report.value().session, name);
   return scale_test::trace_digest(report.value().units);
+}
+
+/// solo_digest over the heterogeneous bag on half the machine.
+std::uint64_t solo_digest(const std::string& name) {
+  BagOfTasks pattern = scale_test::scale_workload(kUnits);
+  return solo_digest(name, pattern, session_options());
+}
+
+/// Seeded virtual duration of one task: `mean` +-50%.
+TaskSpec seeded_sleep(const StageContext& context, double mean) {
+  Xoshiro256 rng(static_cast<std::uint64_t>(
+      (context.iteration * 8 + context.stage) * 100003 + context.instance));
+  TaskSpec spec;
+  spec.kernel = "misc.sleep";
+  spec.args.set("duration", mean * (0.5 + rng.uniform()));
+  spec.cores = 1;
+  return spec;
+}
+
+/// The benchmark's `pipelines` shape: 250 pipelines x 4 stages of
+/// 30-90 s tasks, one core per pipeline (no backlog). Every settlement
+/// submits the pipeline's next stage, so WHEN the graph pumps decides
+/// what the scheduler sees next.
+constexpr Count kPipelines = 250;
+
+std::unique_ptr<ExecutionPattern> pipelines_pattern() {
+  auto pattern = std::make_unique<EnsembleOfPipelines>(kPipelines, 4);
+  for (Count stage = 1; stage <= 4; ++stage) {
+    pattern->set_stage(stage, [](const StageContext& context) {
+      return seeded_sleep(context, 60.0);
+    });
+  }
+  return pattern;
+}
+
+/// A SimulationAnalysisLoop with a backlog: 3 x (300 simulations of
+/// 20-60 s + 30 analyses of 5-15 s) on 128 cores.
+constexpr Count kLoopCores = 128;
+
+std::unique_ptr<ExecutionPattern> loop_pattern() {
+  auto pattern = std::make_unique<SimulationAnalysisLoop>(3, 300, 30);
+  pattern->set_simulation([](const StageContext& context) {
+    return seeded_sleep(context, 40.0);
+  });
+  pattern->set_analysis([](const StageContext& context) {
+    return seeded_sleep(context, 10.0);
+  });
+  return pattern;
+}
+
+ResourceOptions options_with_cores(Count cores) {
+  ResourceOptions options = session_options();
+  options.cores = cores;
+  return options;
 }
 
 TEST(MultiSession, ConcurrentTracesMatchSoloRunsBitIdentical) {
@@ -126,11 +183,10 @@ TEST(MultiSession, ConcurrentTracesMatchSoloRunsBitIdentical) {
             solo_beta);
 }
 
-TEST(MultiSession, ParallelAdvancementMatchesSoloRunsBitIdentical) {
-  // Same contract as above, with the work-stealing pool advancing the
-  // two sessions' executors as parallel tasks between engine steps
-  // (Runtime::run_concurrent's deferred-pumping path). Parallelism
-  // must change WHEN graph bookkeeping happens on the host, never
+TEST(MultiSession, PooledSpecMaterializationMatchesSoloRunsBitIdentical) {
+  // Same contract as above, with the work-stealing pool producing each
+  // 2000-task frontier's specs in parallel inside the settle-time pump.
+  // Parallelism must change WHEN specs are built on the host, never
   // WHAT gets scheduled on the simulated clock.
   const std::uint64_t solo_alpha = solo_digest("alpha");
   const std::uint64_t solo_beta = solo_digest("beta");
@@ -161,6 +217,59 @@ TEST(MultiSession, ParallelAdvancementMatchesSoloRunsBitIdentical) {
             solo_alpha);
   EXPECT_EQ(scale_test::trace_digest(reports.value()[1].units),
             solo_beta);
+}
+
+TEST(MultiSession, EopAndSalSchedulesAreIndependentOfThePoolSize) {
+  // An EoP and a SAL session under run_concurrent must replay their
+  // solo schedules at every pool size: the pool may change WHERE graph
+  // bookkeeping runs on the host, never WHEN a graph pumps. The EoP
+  // keeps the toolkit's default per-task overhead, which the sim
+  // backend charges to the clock only outside engine dispatch, so a
+  // pump moved from inside the settlement to between engine steps
+  // delays every successor it submits (a bag, which never submits on
+  // settlement, cannot show this). The SAL charges nothing and starts
+  // first, so the EoP's initial-frontier charge lands after both
+  // starts, as it does solo.
+  struct PoolReset {
+    ~PoolReset() { set_parallel_threads(0); }
+  } reset_on_exit;
+  set_parallel_threads(0);
+  const ResourceOptions sal_options = options_with_cores(kLoopCores);
+  ResourceOptions eop_options = options_with_cores(kPipelines);
+  eop_options.per_task_overhead = ResourceOptions().per_task_overhead;
+  ASSERT_GT(eop_options.per_task_overhead, 0.0);
+  const std::uint64_t solo_sal =
+      solo_digest("sal", *loop_pattern(), sal_options);
+  const std::uint64_t solo_eop =
+      solo_digest("eop", *pipelines_pattern(), eop_options);
+  ASSERT_NE(solo_sal, 0u);
+  ASSERT_NE(solo_eop, 0u);
+
+  for (const std::size_t threads :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
+    set_parallel_threads(threads);
+    reset_uid_counters_for_testing();
+    auto registry = kernels::KernelRegistry::with_builtin_kernels();
+    pilot::SimBackend backend(multi_machine());
+    Runtime runtime(backend, registry);
+    auto sal = make_session(runtime, "sal", sal_options);
+    auto eop = make_session(runtime, "eop", eop_options);
+    const auto sal_pattern = loop_pattern();
+    const auto eop_pattern = pipelines_pattern();
+    auto reports = runtime.run_concurrent(
+        {{sal, sal_pattern.get()}, {eop, eop_pattern.get()}});
+    ASSERT_TRUE(reports.ok()) << reports.status().to_string();
+    ASSERT_EQ(reports.value().size(), 2u);
+    for (const auto& report : reports.value()) {
+      EXPECT_TRUE(report.outcome.is_ok()) << report.outcome.to_string();
+    }
+    EXPECT_EQ(reports.value()[1].units.size(),
+              static_cast<std::size_t>(kPipelines * 4));
+    EXPECT_EQ(scale_test::trace_digest(reports.value()[0].units), solo_sal)
+        << "SAL schedule diverged at " << threads << " pool threads";
+    EXPECT_EQ(scale_test::trace_digest(reports.value()[1].units), solo_eop)
+        << "EoP schedule diverged at " << threads << " pool threads";
+  }
 }
 
 TEST(MultiSession, FailFastAbortLeavesTheOtherSessionConverging) {

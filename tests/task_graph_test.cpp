@@ -2,16 +2,15 @@
 //
 // Patterns are compilers now: these tests check the graphs they emit
 // (topology, groups, gates, chain sets, expanders), the Graphviz
-// rendering, custom user-defined graphs driven through handle.run, the
-// watch_unit fallback for executors without settled events, and the
-// stalled-graph diagnostic.
+// rendering, custom user-defined graphs driven through handle.run, a
+// unit settling inside its own batch's submit (in both dispatch modes),
+// and the stalled-graph diagnostic.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 
 #include "core/entk.hpp"
-#include "pilot/pilot_manager.hpp"
 
 namespace entk::core {
 namespace {
@@ -242,50 +241,84 @@ TEST_F(SimRunFixture, CustomDiamondGraphRunsInDependencyOrder) {
   EXPECT_GE(units[3]->exec_started_at(), units[2]->finished_at());
 }
 
-/// Wraps a real executor but refuses settled subscriptions, forcing
-/// the graph executor onto its per-unit watch_unit fallback.
-class NoEventsExecutor final : public PatternExecutor {
- public:
-  explicit NoEventsExecutor(PatternExecutor& inner) : inner_(inner) {}
-  Result<std::vector<pilot::ComputeUnitPtr>> submit(
-      const std::vector<TaskSpec>& specs) override {
-    return inner_.submit(specs);
-  }
-  Status drive_until(const std::function<bool()>& done) override {
-    return inner_.drive_until(done);
-  }
-  // subscribe_settled: inherited default, returns false.
+// ------------------------------------------------ settle inside submit
 
- private:
-  PatternExecutor& inner_;
-};
+// A five-task bag whose middle task needs more cores than any pilot
+// has and carries no retry budget: UnitManager::route_pending fails it
+// inside the batch's submit call, before adopt_unit registers its node,
+// so its settlement reaches the graph through adopt_unit's poll while
+// the batch is still being adopted. It must be queued for the next
+// round — never pumped re-entrantly — and fail only its own node.
+constexpr Count kBatch = 5;
+constexpr Count kOversized = 2;
 
-TEST(GraphExecutorFallback, RunsPipelinesThroughWatchUnit) {
-  auto registry = kernels::KernelRegistry::with_builtin_kernels();
-  pilot::SimBackend backend(sim::localhost_profile());
-  pilot::PilotManager pilot_manager(backend);
-  pilot::PilotDescription description;
-  description.resource = "localhost";
-  description.cores = 4;
-  description.runtime = 100000.0;
-  auto pilot = pilot_manager.submit_pilot(description);
-  ASSERT_TRUE(pilot.ok());
-  ASSERT_TRUE(pilot_manager.wait_active(pilot.value()).is_ok());
-  pilot::UnitManager unit_manager(backend);
-  unit_manager.add_pilot(pilot.take());
-  ExecutionPlugin plugin(registry, unit_manager, backend);
-  NoEventsExecutor no_events(plugin);
-
-  EnsembleOfPipelines pattern(2, 2);
-  pattern.set_stage(1, [](const StageContext& context) {
-    return sleep_spec(1.0 + static_cast<double>(context.instance));
+BagOfTasks bag_with_oversized_middle_task() {
+  BagOfTasks pattern(kBatch, [](const StageContext& context) {
+    TaskSpec spec = sleep_spec(1.0);
+    if (context.instance == kOversized) spec.cores = 64;
+    spec.retry.max_retries = 0;
+    return spec;
   });
-  pattern.set_stage(2, [](const StageContext&) { return sleep_spec(1.0); });
-  ASSERT_TRUE(pattern.execute(no_events).is_ok());
-  ASSERT_EQ(pattern.units().size(), 4u);
-  for (const auto& unit : pattern.units()) {
-    EXPECT_EQ(unit->state(), pilot::UnitState::kDone);
+  pattern.set_failure_rules({FailurePolicy::kContinueOnFailure, 1.0});
+  return pattern;
+}
+
+/// Checks the executor's node table, then finishes the run.
+void expect_only_the_oversized_node_failed(Session& session,
+                                           const Status& driven) {
+  ASSERT_TRUE(driven.is_ok()) << driven.to_string();
+  GraphExecutor* executor = session.run_executor();
+  ASSERT_NE(executor, nullptr);
+  for (NodeId id = 0; id < static_cast<NodeId>(kBatch); ++id) {
+    const NodeStatus expected = id == static_cast<NodeId>(kOversized)
+                                    ? NodeStatus::kFailed
+                                    : NodeStatus::kDone;
+    EXPECT_EQ(executor->node_status(id), expected) << "node " << id;
   }
+  EXPECT_EQ(executor->nodes_submitted(), static_cast<std::size_t>(kBatch));
+  auto report = session.finish_run(driven);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_TRUE(report.value().outcome.is_ok())
+      << report.value().outcome.to_string();
+  EXPECT_EQ(report.value().units_failed, 1u);
+  EXPECT_EQ(report.value().units_done, static_cast<std::size_t>(kBatch - 1));
+}
+
+TEST_F(SimRunFixture, UnitFailingInsideSubmitIsQueuedBySettleTimePump) {
+  auto handle = make_handle(4);
+  ASSERT_TRUE(handle.allocate().is_ok());
+  Session& session = handle.session();
+  BagOfTasks pattern = bag_with_oversized_middle_task();
+  ASSERT_TRUE(session.start_run(pattern).is_ok());
+  // start() already submitted the whole batch from its pump.
+  ASSERT_NE(session.run_executor(), nullptr);
+  EXPECT_EQ(session.run_executor()->nodes_submitted(),
+            static_cast<std::size_t>(kBatch));
+  const Status driven =
+      backend_.drive_until([&session] { return session.run_finished(); });
+  expect_only_the_oversized_node_failed(session, driven);
+}
+
+TEST_F(SimRunFixture, UnitFailingInsideBoundedFlushIsQueuedUnderHeldDispatch) {
+  auto handle = make_handle(4);
+  ASSERT_TRUE(handle.allocate().is_ok());
+  Session& session = handle.session();
+  BagOfTasks pattern = bag_with_oversized_middle_task();
+  ASSERT_TRUE(session.start_run(pattern, /*deferred=*/true).is_ok());
+  GraphExecutor* executor = session.run_executor();
+  ASSERT_NE(executor, nullptr);
+  // Held dispatch: start() only materialized the batch.
+  EXPECT_EQ(executor->pending_submits(), static_cast<std::size_t>(kBatch));
+  EXPECT_EQ(executor->nodes_submitted(), 0u);
+  // entk-serve's side of held dispatch, between engine steps: advance,
+  // then flush in bounded slices (4 + 1, the oversized node mid-slice).
+  const auto dispatch = [&session, executor] {
+    while (executor->advance_local()) executor->flush_submit_bounded(4);
+    return session.run_finished();
+  };
+  Status driven = Status::ok();
+  if (!dispatch()) driven = backend_.drive_until(dispatch);
+  expect_only_the_oversized_node_failed(session, driven);
 }
 
 /// A pattern whose node gates on a stage group containing itself: the

@@ -101,6 +101,37 @@ TEST(WorkStealingPool, ExecutesExternalSubmissions) {
   EXPECT_EQ(pool.stats().executed, 200u);
 }
 
+TEST(WorkStealingPool, ConcurrentSubmittersExecuteEveryAcceptedTask) {
+  constexpr std::size_t kSubmitters = 4;
+  constexpr std::size_t kTasksEach = 500;
+  std::atomic<std::size_t> executed{0};
+  std::atomic<std::size_t> accepted{0};
+  WorkStealingPool pool(3);
+  std::vector<std::thread> submitters;
+  submitters.reserve(kSubmitters);
+  for (std::size_t s = 0; s < kSubmitters; ++s) {
+    submitters.emplace_back([&] {
+      for (std::size_t i = 0; i < kTasksEach; ++i) {
+        if (pool.try_submit_external(TaskFn([&executed] {
+              executed.fetch_add(1, std::memory_order_relaxed);
+            }))) {
+          accepted.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (auto& submitter : submitters) submitter.join();
+  pool.wait_idle();
+  EXPECT_EQ(accepted.load(), kSubmitters * kTasksEach);
+  EXPECT_EQ(executed.load(), kSubmitters * kTasksEach);
+}
+
+TEST(WorkStealingPool, WaitIdleOnEmptyPoolReturns) {
+  WorkStealingPool pool(2);
+  pool.wait_idle();  // must not hang
+  EXPECT_EQ(pool.stats().executed, 0u);
+}
+
 TEST(WorkStealingPool, SubmitLocalOffPoolFallsBackToExternal) {
   std::atomic<bool> ran{false};
   WorkStealingPool pool(2);
@@ -207,7 +238,7 @@ TEST(WorkStealingPool, ParallelForCoversEveryIndexExactlyOnce) {
 }
 
 TEST(WorkStealingPool, ParallelForNestsInsidePoolTasks) {
-  // GraphExecutor calls parallel_for from run_concurrent's advance
+  // GraphExecutor calls parallel_for from entk-serve's advance-phase
   // tasks, which themselves run on the pool: the caller participates,
   // so nesting must not deadlock even when every worker is busy.
   WorkStealingPool pool(2);
@@ -267,6 +298,17 @@ TEST(WorkStealingPool, ShutdownUnderLoadNeverLosesAcceptedTasks) {
   }
 }
 
+TEST(WorkStealingPool, DestructorDrainsPendingTasks) {
+  std::atomic<std::size_t> executed{0};
+  {
+    WorkStealingPool pool(2);
+    for (std::size_t i = 0; i < 50; ++i) {
+      pool.submit_external(TaskFn([&executed] { executed.fetch_add(1); }));
+    }
+  }
+  EXPECT_EQ(executed.load(), 50u);
+}
+
 TEST(WorkStealingPool, ConcurrentShutdownCallsAllJoin) {
   std::atomic<std::size_t> executed{0};
   WorkStealingPool pool(2);
@@ -320,6 +362,157 @@ TEST(WorkStealingPool, WaitIdleRacesSubmitters) {
   submitter.join();
   pool.wait_idle();  // all submits done: this one is authoritative
   EXPECT_EQ(executed.load(), 300u);
+}
+
+// ------------------------------------- worker-side submission contracts
+//
+// The ThreadPool and ThreadPoolStressTest suites first pinned these
+// contracts on the FIFO pool that WorkStealingPool replaced. They keep
+// their names and now run against this pool, with submissions made
+// from its own workers (submit_local onto their deques): a path the
+// WorkStealingPool cases above drive only from outside the pool.
+
+/// Counts itself and, while `left` > 0, resubmits a copy with one less
+/// through submit_local: onto its worker's deque when it runs on the
+/// pool, onto the external queue (refused once stopping) when it runs
+/// on the thread that drains shutdown.
+struct Relay {
+  WorkStealingPool* pool;
+  std::atomic<std::size_t>* executed;
+  std::atomic<std::size_t>* accepted;
+  int left;
+
+  void operator()() const {
+    executed->fetch_add(1, std::memory_order_relaxed);
+    if (left > 0 &&
+        pool->submit_local(TaskFn(Relay{pool, executed, accepted, left - 1}))) {
+      accepted->fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+};
+
+TEST(ThreadPool, RunsAllTasks) {
+  // Every entry point in one run: external submissions, the
+  // worker-local continuation each one spawns, and a parallel_for
+  // issued from outside the pool.
+  std::atomic<int> counter{0};
+  std::atomic<int> refused{0};
+  WorkStealingPool pool(4);
+  for (int i = 0; i < 100; ++i) {
+    pool.submit_external(TaskFn([&pool, &counter, &refused] {
+      counter.fetch_add(1);
+      if (!pool.submit_local(TaskFn([&counter] { counter.fetch_add(1); }))) {
+        refused.fetch_add(1);
+      }
+    }));
+  }
+  pool.parallel_for(100, [&counter](std::size_t) { counter.fetch_add(1); });
+  pool.wait_idle();
+  EXPECT_EQ(refused.load(), 0);
+  EXPECT_EQ(counter.load(), 300);
+}
+
+TEST(ThreadPoolStressTest, SubmittersRacingShutdownNeverLoseAcceptedTasks) {
+  // External submitters and the pool's own workers (every accepted
+  // Relay resubmits itself onto its worker's deque) both race
+  // shutdown(). Every accepted task must still run, wherever it was
+  // queued; every refusal must be clean.
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<std::size_t> executed{0};
+    std::atomic<std::size_t> accepted{0};
+    WorkStealingPool pool(2);
+    std::vector<std::thread> submitters;
+    std::atomic<bool> go{false};
+    for (std::size_t s = 0; s < 3; ++s) {
+      submitters.emplace_back([&] {
+        while (!go.load(std::memory_order_acquire)) {
+        }
+        for (std::size_t i = 0; i < 100; ++i) {
+          if (pool.try_submit_external(
+                  TaskFn(Relay{&pool, &executed, &accepted, 4}))) {
+            accepted.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+      });
+    }
+    go.store(true, std::memory_order_release);
+    std::this_thread::yield();
+    pool.shutdown();  // races both kinds of submitter on purpose
+    for (auto& submitter : submitters) submitter.join();
+    EXPECT_FALSE(pool.submit_local(TaskFn([] {})))
+        << "pool accepted after shutdown";
+    EXPECT_EQ(executed.load(), accepted.load())
+        << "accepted tasks were dropped by shutdown";
+  }
+}
+
+TEST(ThreadPoolStressTest, ConcurrentShutdownCallsAllJoin) {
+  // The backlog sits in the workers' own deques (each seed fans out
+  // four local children) while several threads race shutdown(). Each
+  // call must return only once every worker has been joined and the
+  // stranded tasks drained, so every caller already sees the final
+  // count.
+  constexpr std::size_t kSeeds = 16;
+  constexpr std::size_t kClosers = 4;
+  std::atomic<std::size_t> executed{0};
+  std::atomic<std::size_t> accepted{kSeeds};
+  WorkStealingPool pool(2);
+  for (std::size_t i = 0; i < kSeeds; ++i) {
+    pool.submit_external(TaskFn([&pool, &executed, &accepted] {
+      executed.fetch_add(1);
+      for (int child = 0; child < 4; ++child) {
+        if (pool.submit_local(TaskFn([&executed] { executed.fetch_add(1); }))) {
+          accepted.fetch_add(1);
+        }
+      }
+    }));
+  }
+  std::vector<std::size_t> seen(kClosers, 0);
+  std::vector<std::thread> closers;
+  for (std::size_t s = 0; s < kClosers; ++s) {
+    closers.emplace_back([&pool, &executed, &seen, s] {
+      pool.shutdown();
+      seen[s] = executed.load();
+    });
+  }
+  for (auto& closer : closers) closer.join();
+  for (std::size_t s = 0; s < kClosers; ++s) {
+    EXPECT_EQ(seen[s], accepted.load()) << "closer " << s << " returned early";
+  }
+  pool.shutdown();  // idempotent
+}
+
+TEST(ThreadPoolStressTest, WaitIdleRacesSubmitters) {
+  // Two external submitters whose tasks each spawn a worker-local
+  // child, and two threads calling wait_idle() meanwhile. Those waits
+  // may overlap submits; once the submitters are joined, one more wait
+  // must cover the children too (a child is accepted before its parent
+  // finishes, so the pool never looks idle between the two).
+  std::atomic<std::size_t> executed{0};
+  std::atomic<std::size_t> refused{0};
+  WorkStealingPool pool(2);
+  std::vector<std::thread> threads;
+  for (std::size_t s = 0; s < 2; ++s) {
+    threads.emplace_back([&] {
+      for (std::size_t i = 0; i < 150; ++i) {
+        pool.submit_external(TaskFn([&pool, &executed, &refused] {
+          executed.fetch_add(1);
+          if (!pool.submit_local(
+                  TaskFn([&executed] { executed.fetch_add(1); }))) {
+            refused.fetch_add(1);
+          }
+        }));
+      }
+    });
+  }
+  threads.emplace_back([&pool] {
+    for (int i = 0; i < 10; ++i) pool.wait_idle();
+  });
+  for (int i = 0; i < 10; ++i) pool.wait_idle();  // may overlap submits
+  for (auto& thread : threads) thread.join();
+  pool.wait_idle();  // all submits done: this one is authoritative
+  EXPECT_EQ(refused.load(), 0u);
+  EXPECT_EQ(executed.load(), 600u);
 }
 
 // ---------------------------------------------------------- lock ranks

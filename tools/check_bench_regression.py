@@ -62,8 +62,10 @@ wall-clock ratio against the one-thread run -- the concurrency the
 pool actually delivered -- and because the kernels block rather than
 spin, the ratio is machine-independent and holds on one-core CI
 runners.  --parallel-speedup-threads picks the gated point (default
-4, the smoke point; the full-mode acceptance point is 16).  A missing
-block is an error.
+4, the smoke point; the full-mode acceptance point is 16).  The probe
+piles its batch onto one worker's deque, so every point with 4 or more
+threads must also report stolen > 0: with no steals the steal path went
+unexercised.  A missing block or points list is an error.
 
 Baseline points absent from the candidate are an error (a sweep point
 silently disappearing is itself a regression); candidate points absent
@@ -261,6 +263,27 @@ def check_parallel_runtime(candidate, floor, threads):
             f"ok parallel runtime speedup at {threads} threads: "
             f"{speedup:.2f}x >= {floor:.1f}x floor"
         )
+    # The batch piles onto one deque: at 4+ workers the others can only
+    # get work by stealing, so zero steals means the path went untested.
+    points = probe.get("points")
+    if not points:
+        failures.append("parallel_runtime probe has no points")
+        return failures, notes
+    for point in points:
+        pool_threads = int(point.get("threads", 0))
+        if pool_threads < 4:
+            continue
+        stolen = int(point.get("stolen", 0))
+        if stolen == 0:
+            failures.append(
+                f"parallel runtime stole no task at {pool_threads} "
+                "threads (steal path unexercised)"
+            )
+        else:
+            notes.append(
+                f"ok parallel runtime stole {stolen} task(s) at "
+                f"{pool_threads} threads"
+            )
     return failures, notes
 
 
@@ -588,8 +611,20 @@ def self_test():
     )
 
     # Parallel-runtime probe: below-floor speedup fails, above passes,
-    # and absent block / missing metric are clear failures.
-    runtime = {"speedup_at_4": 3.8, "speedup_at_16": 14.2}
+    # a 4+ thread point that stole nothing fails, and absent block /
+    # missing metric / missing points are clear failures.
+    def pool_points(stolen_at_4=90, stolen_at_16=220):
+        return [
+            {"threads": 1, "stolen": 0},
+            {"threads": 4, "stolen": stolen_at_4},
+            {"threads": 16, "stolen": stolen_at_16},
+        ]
+
+    runtime = {
+        "speedup_at_4": 3.8,
+        "speedup_at_16": 14.2,
+        "points": pool_points(),
+    }
     failures, notes = check_parallel_runtime(
         {"parallel_runtime": runtime}, 2.0, 4
     )
@@ -617,6 +652,40 @@ def self_test():
         (
             "missing parallel speedup metric reported",
             any("speedup_at_16" in f for f in failures),
+        )
+    )
+    failures, notes = check_parallel_runtime(
+        {"parallel_runtime": runtime}, 2.0, 4
+    )
+    checks.append(
+        (
+            "steals at every 4+ thread point pass",
+            not failures and sum("stole" in n for n in notes) == 2,
+        )
+    )
+    for stolen_at_4, stolen_at_16, gated in ((0, 220, 4), (90, 0, 16)):
+        failures, _ = check_parallel_runtime(
+            {
+                "parallel_runtime": dict(
+                    runtime, points=pool_points(stolen_at_4, stolen_at_16)
+                )
+            },
+            2.0,
+            4,
+        )
+        checks.append(
+            (
+                f"zero steals at {gated} threads caught",
+                any(f"no task at {gated} threads" in f for f in failures),
+            )
+        )
+    failures, _ = check_parallel_runtime(
+        {"parallel_runtime": {"speedup_at_4": 3.8}}, 2.0, 4
+    )
+    checks.append(
+        (
+            "missing parallel points reported",
+            any("no points" in f for f in failures),
         )
     )
 
