@@ -54,7 +54,7 @@ void BM_SchedulerSelect(benchmark::State& state) {
     description.uses_mpi = description.cores > 1;
     description.simulated_duration = 1.0;
     auto unit = std::make_shared<pilot::ComputeUnit>(
-        next_uid("benchunit"), std::move(description), clock);
+        next_uid("benchunit"), std::move(description), clock, 0);
     (void)unit->advance_state(pilot::UnitState::kPendingExecution);
     waiting.push_back(std::move(unit));
   }

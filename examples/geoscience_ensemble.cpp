@@ -35,32 +35,24 @@ class AdvectKernel final : public kernels::KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    if (args.get_double_or("diffusivity", 0.05) < 0.0) {
-      return make_error(Errc::kInvalidArgument,
-                        "geo.advect: diffusivity must be >= 0");
-    }
-    if (args.get_int_or("cells", 200) < 8) {
-      return make_error(Errc::kInvalidArgument,
-                        "geo.advect: need at least 8 cells");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<kernels::BoundKernel> bind(
       const Config& args, const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
-    const double u = args.get_double_or("u", 1.0);
-    const double diffusivity = args.get_double_or("diffusivity", 0.05);
-    const double t_end = args.get_double_or("t_end", 0.3);
-    const auto cells = args.get_int_or("cells", 200);
+    ENTK_ASSIGN_OR_RETURN(const Args parsed, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const kernels::KernelMachineEntry* entry,
+                          machine_entry(machine.name));
+    const double u = parsed.u;
+    const double diffusivity = parsed.diffusivity;
+    const double t_end = parsed.t_end;
+    const auto cells = parsed.cells;
     const std::string out = args.get_string_or("out", "plume.txt");
 
     kernels::BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
+    bound.executable = entry->executable;
     bound.estimated_duration =
         2e-3 * t_end * static_cast<double>(cells) /
         machine.performance_factor;
@@ -104,6 +96,32 @@ class AdvectKernel final : public kernels::KernelBase {
     bound.output_staging.push_back(std::move(stage_out));
     return bound;
   }
+
+ private:
+  struct Args {
+    double u = 1.0;
+    double diffusivity = 0.05;
+    double t_end = 0.3;
+    std::int64_t cells = 200;
+  };
+
+  static Result<Args> parse(const Config& args) {
+    Args parsed;
+    ENTK_ASSIGN_OR_RETURN(parsed.diffusivity,
+                          args.get_double_or("diffusivity", 0.05));
+    if (parsed.diffusivity < 0.0) {
+      return make_error(Errc::kInvalidArgument,
+                        "geo.advect: diffusivity must be >= 0");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.cells, args.get_int_or("cells", 200));
+    if (parsed.cells < 8) {
+      return make_error(Errc::kInvalidArgument,
+                        "geo.advect: need at least 8 cells");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.u, args.get_double_or("u", 1.0));
+    ENTK_ASSIGN_OR_RETURN(parsed.t_end, args.get_double_or("t_end", 0.3));
+    return parsed;
+  }
 };
 
 /// geo.assess — reads a plume profile, writes peak and spread.
@@ -125,14 +143,14 @@ class AssessKernel final : public kernels::KernelBase {
       const Config& args, const sim::MachineProfile& machine)
       const override {
     ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const kernels::KernelMachineEntry* entry,
+                          machine_entry(machine.name));
     const std::string input = args.get_string("input").value();
     const std::string out = args.get_string_or("out", input + ".summary");
 
     kernels::BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
+    bound.executable = entry->executable;
     bound.estimated_duration = 0.1 / machine.performance_factor;
     bound.payload = [=](const pilot::UnitRuntimeContext& context)
         -> Status {

@@ -49,70 +49,97 @@ std::vector<std::string> Config::keys() const {
   return out;
 }
 
-Result<std::string> Config::get_string(const std::string& key) const {
-  const auto it = values_.find(key);
-  if (it == values_.end()) {
-    return make_error(Errc::kNotFound, "config key '" + key + "' missing");
-  }
-  return it->second;
+namespace {
+
+Status not_a(const char* kind, const std::string& key,
+             const std::string& text) {
+  return make_error(Errc::kInvalidArgument, "config key '" + key +
+                                                "' is not " + kind + ": " +
+                                                text);
 }
 
-Result<double> Config::get_double(const std::string& key) const {
-  auto raw = get_string(key);
-  if (!raw.ok()) return raw.status();
-  const std::string& text = raw.value();
+// The stored text is parsed in place: strtod/strtoll decide what is a
+// number, so the accepted spellings stay those of the C library.
+Result<double> parse_double(const std::string& key, const std::string& text) {
   char* end = nullptr;
   const double value = std::strtod(text.c_str(), &end);
   if (end == text.c_str() || *end != '\0') {
-    return make_error(Errc::kInvalidArgument,
-                      "config key '" + key + "' is not a number: " + text);
+    return not_a("a number", key, text);
   }
   return value;
 }
 
-Result<std::int64_t> Config::get_int(const std::string& key) const {
-  auto raw = get_string(key);
-  if (!raw.ok()) return raw.status();
-  const std::string& text = raw.value();
+Result<std::int64_t> parse_int(const std::string& key,
+                               const std::string& text) {
   char* end = nullptr;
   const long long value = std::strtoll(text.c_str(), &end, 10);
   if (end == text.c_str() || *end != '\0') {
-    return make_error(Errc::kInvalidArgument,
-                      "config key '" + key + "' is not an integer: " + text);
+    return not_a("an integer", key, text);
   }
   return static_cast<std::int64_t>(value);
 }
 
-Result<bool> Config::get_bool(const std::string& key) const {
-  auto raw = get_string(key);
-  if (!raw.ok()) return raw.status();
-  const std::string& text = raw.value();
+Result<bool> parse_bool(const std::string& key, const std::string& text) {
   if (text == "true" || text == "1" || text == "yes") return true;
   if (text == "false" || text == "0" || text == "no") return false;
-  return make_error(Errc::kInvalidArgument,
-                    "config key '" + key + "' is not a bool: " + text);
+  return not_a("a bool", key, text);
+}
+
+Status missing(const std::string& key) {
+  return make_error(Errc::kNotFound, "config key '" + key + "' missing");
+}
+
+}  // namespace
+
+Result<std::string> Config::get_string(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return missing(key);
+  return it->second;
+}
+
+Result<double> Config::get_double(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return missing(key);
+  return parse_double(key, it->second);
+}
+
+Result<std::int64_t> Config::get_int(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return missing(key);
+  return parse_int(key, it->second);
+}
+
+Result<bool> Config::get_bool(const std::string& key) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return missing(key);
+  return parse_bool(key, it->second);
 }
 
 std::string Config::get_string_or(const std::string& key,
                                   const std::string& fallback) const {
-  auto result = get_string(key);
-  return result.ok() ? result.take() : fallback;
+  const auto it = values_.find(key);
+  return it == values_.end() ? fallback : it->second;
 }
 
-double Config::get_double_or(const std::string& key, double fallback) const {
-  if (!contains(key)) return fallback;
-  return get_double(key).value();
+Result<double> Config::get_double_or(const std::string& key,
+                                     double fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  return parse_double(key, it->second);
 }
 
-std::int64_t Config::get_int_or(const std::string& key,
-                                std::int64_t fallback) const {
-  if (!contains(key)) return fallback;
-  return get_int(key).value();
+Result<std::int64_t> Config::get_int_or(const std::string& key,
+                                        std::int64_t fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  return parse_int(key, it->second);
 }
 
-bool Config::get_bool_or(const std::string& key, bool fallback) const {
-  if (!contains(key)) return fallback;
-  return get_bool(key).value();
+Result<bool> Config::get_bool_or(const std::string& key,
+                                 bool fallback) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return fallback;
+  return parse_bool(key, it->second);
 }
 
 Config Config::merged_with(const Config& other) const {

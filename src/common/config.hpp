@@ -41,12 +41,14 @@ class Config {
 
   /// Defaulted getters: fall back if the key is missing, still error on
   /// an unparsable value (a typo should not silently become a default).
+  /// Values are often user text, so the error is returned, never thrown.
   std::string get_string_or(const std::string& key,
                             const std::string& fallback) const;
-  double get_double_or(const std::string& key, double fallback) const;
-  std::int64_t get_int_or(const std::string& key,
-                          std::int64_t fallback) const;
-  bool get_bool_or(const std::string& key, bool fallback) const;
+  Result<double> get_double_or(const std::string& key,
+                               double fallback) const;
+  Result<std::int64_t> get_int_or(const std::string& key,
+                                  std::int64_t fallback) const;
+  Result<bool> get_bool_or(const std::string& key, bool fallback) const;
 
   /// Overlays `other` on top of this config (other wins on conflict).
   Config merged_with(const Config& other) const;

@@ -127,4 +127,17 @@ namespace detail {
     if (!entk_status_.is_ok()) return entk_status_; \
   } while (false)
 
+#define ENTK_CONCAT_INNER_(a, b) a##b
+#define ENTK_CONCAT_(a, b) ENTK_CONCAT_INNER_(a, b)
+
+/// Declares or assigns `lhs` from a Result-valued `expr`, propagating
+/// its error Status from the current function:
+///   ENTK_ASSIGN_OR_RETURN(const double x, config.get_double("x"));
+#define ENTK_ASSIGN_OR_RETURN(lhs, expr) \
+  ENTK_ASSIGN_OR_RETURN_IMPL_(ENTK_CONCAT_(entk_result_, __LINE__), lhs, expr)
+#define ENTK_ASSIGN_OR_RETURN_IMPL_(result, lhs, expr) \
+  auto result = (expr);                                \
+  if (!result.ok()) return result.status();            \
+  lhs = result.take()
+
 }  // namespace entk

@@ -1,6 +1,8 @@
 #include "common/strings.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -52,10 +54,39 @@ bool ends_with(std::string_view text, std::string_view suffix) {
          text.substr(text.size() - suffix.size()) == suffix;
 }
 
+namespace {
+
+// A double's exact binary value has at most 1074 fraction digits, so a
+// higher precision only appends zeros; the longest "%.*f" text is a
+// sign, 309 integer digits, the point and those 1074 digits.
+constexpr int kMaxFractionDigits = 1074;
+constexpr std::size_t kMaxFixedChars = 1 + 309 + 1 + kMaxFractionDigits;
+
+/// Writes printf's "%.*f" text for `value` (negative precision means 6,
+/// as in printf) without the locale and format-string parsing, and
+/// returns its length. Precision is capped at kMaxFractionDigits:
+/// callers keep at most the first 63 bytes of longer texts.
+std::size_t write_fixed(double value, int precision,
+                        char (&out)[kMaxFixedChars]) {
+  if (precision < 0) precision = 6;
+  if (precision > kMaxFractionDigits) precision = kMaxFractionDigits;
+  const auto written =
+      std::to_chars(out, out + kMaxFixedChars, value,
+                    std::chars_format::fixed, precision);
+  return static_cast<std::size_t>(written.ptr - out);
+}
+
+}  // namespace
+
 std::string format_double(double value, int precision) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
-  return buffer;
+  char buffer[kMaxFixedChars];
+  const std::size_t length = write_fixed(value, precision, buffer);
+  return std::string(buffer, std::min<std::size_t>(length, 63));
+}
+
+std::string format_fixed(double value) {
+  char buffer[kMaxFixedChars];
+  return std::string(buffer, write_fixed(value, 6, buffer));
 }
 
 std::string format_seconds(double seconds) {

@@ -23,7 +23,12 @@ bool ends_with(std::string_view text, std::string_view suffix);
 /// Formats seconds as a compact human string, e.g. "1.50 s", "12.3 ms".
 std::string format_seconds(double seconds);
 
-/// Formats a double with fixed precision.
+/// Formats a double with fixed precision: the first 63 bytes of
+/// printf's "%.*f" text (the historical 64-byte buffer).
 std::string format_double(double value, int precision);
+
+/// Formats a double exactly as printf's "%f" (and std::to_string) do:
+/// six fraction digits, never truncated.
+std::string format_fixed(double value);
 
 }  // namespace entk

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
+#include <charconv>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -46,11 +46,21 @@ detail::PrefixCounter* find_counter(const std::string& prefix) {
   return slot.get();
 }
 
+/// "<prefix>.<value>", the value zero-padded to at least six digits
+/// (printf's ".%06llu").
 std::string format_uid(const std::string& prefix, std::uint64_t value) {
-  char suffix[32];
-  std::snprintf(suffix, sizeof(suffix), ".%06llu",
-                static_cast<unsigned long long>(value));
-  return prefix + suffix;
+  char digits[20];  // 2^64 - 1 has 20 digits
+  const auto written =
+      std::to_chars(digits, digits + sizeof(digits), value);
+  const auto length = static_cast<std::size_t>(written.ptr - digits);
+  const std::size_t padding = length < 6 ? 6 - length : 0;
+  std::string uid;
+  uid.reserve(prefix.size() + 1 + padding + length);
+  uid += prefix;
+  uid += '.';
+  uid.append(padding, '0');
+  uid.append(digits, length);
+  return uid;
 }
 
 }  // namespace

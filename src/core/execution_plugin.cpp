@@ -31,10 +31,10 @@ Result<pilot::UnitDescription> ExecutionPlugin::translate(
   kernels::BoundKernel& resolved = bound.value();
 
   pilot::UnitDescription description;
-  description.name = resolved.kernel_name;
-  description.executable = resolved.executable;
-  description.arguments = resolved.arguments;
-  description.environment = resolved.environment;
+  description.name = std::move(resolved.kernel_name);
+  description.executable = std::move(resolved.executable);
+  description.arguments = std::move(resolved.arguments);
+  description.environment = std::move(resolved.environment);
   if (!resolved.pre_exec.empty()) {
     description.environment["ENTK_PRE_EXEC"] =
         join(resolved.pre_exec, " && ");

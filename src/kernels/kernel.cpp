@@ -14,7 +14,7 @@ void KernelBase::add_machine_entry(const std::string& machine,
   machines_[machine] = std::move(entry);
 }
 
-Result<KernelMachineEntry> KernelBase::machine_entry(
+Result<const KernelMachineEntry*> KernelBase::machine_entry(
     const std::string& machine) const {
   auto it = machines_.find(machine);
   if (it == machines_.end()) it = machines_.find("*");
@@ -24,11 +24,11 @@ Result<KernelMachineEntry> KernelBase::machine_entry(
                           "' has no launch entry for machine '" + machine +
                           "' and no fallback");
   }
-  return it->second;
+  return &it->second;
 }
 
-void KernelBase::apply_staging_args(const Config& args, BoundKernel& bound) {
-  const double io_mb = args.get_double_or("io_mb", 1.0);
+void KernelBase::apply_staging_args(const Config& args, double io_mb,
+                                    BoundKernel& bound) {
   auto parse_list = [&](const std::string& key) {
     std::vector<std::string> files;
     if (!args.contains(key)) return files;

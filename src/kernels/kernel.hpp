@@ -75,14 +75,17 @@ class KernelBase : public Kernel {
                          KernelMachineEntry entry);
 
   /// Fallback-aware lookup; errors if neither the machine nor "*" is
-  /// configured.
-  Result<KernelMachineEntry> machine_entry(const std::string& machine) const;
+  /// configured. The entry lives as long as this kernel.
+  Result<const KernelMachineEntry*> machine_entry(
+      const std::string& machine) const;
 
   /// Builds staging directives from the conventional args:
   ///   inputs  = "a.txt,b.txt"   (shared space -> sandbox)
   ///   outputs = "c.txt"         (sandbox -> shared space)
-  ///   io_mb   = per-file transfer size for the simulated backend
-  static void apply_staging_args(const Config& args, BoundKernel& bound);
+  /// `io_mb` is the per-file transfer size for the simulated backend
+  /// (the kernel parses its "io_mb" argument once, default 1.0).
+  static void apply_staging_args(const Config& args, double io_mb,
+                                 BoundKernel& bound);
 
  private:
   std::string name_;

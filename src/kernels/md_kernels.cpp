@@ -12,6 +12,7 @@
 // tier, not by crash-consistent writes.
 // entk-lint: allow-file(raw-file-write)
 #include <fstream>
+#include <initializer_list>
 #include <sstream>
 
 #include "analysis/diffusion_map.hpp"
@@ -70,76 +71,37 @@ class MdSimulateKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    const std::string engine = args.get_string_or("engine", "amber");
-    if (engine != "amber" && engine != "gromacs") {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: engine must be amber or gromacs");
-    }
-    if (args.get_int_or("steps", 3000) <= 0) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: steps must be > 0");
-    }
-    if (args.get_int_or("n_particles", 2881) < 2) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: n_particles must be >= 2");
-    }
-    if (args.get_double_or("temperature", 1.0) <= 0.0) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: temperature must be > 0");
-    }
-    if (args.get_int_or("cores", 1) < 1) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: cores must be >= 1");
-    }
-    if (args.get_double_or("epsilon", 1.0) <= 0.0) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: epsilon must be > 0");
-    }
-    const std::string system = args.get_string_or("system", "auto");
-    if (system != "auto" && system != "dipeptide" && system != "fluid") {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: system must be auto, dipeptide or "
-                        "fluid");
-    }
-    if (system == "dipeptide" && args.get_int_or("n_particles", 2881) < 25) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.simulate: dipeptide needs n_particles >= 25");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const Args parsed, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
 
     const std::string engine = args.get_string_or("engine", "amber");
-    const auto steps = args.get_int_or("steps", 3000);
-    const double dt = args.get_double_or("dt", 0.005);
-    const double temperature = args.get_double_or("temperature", 1.0);
-    const auto n_particles = args.get_int_or("n_particles", 2881);
-    const auto sample_every =
-        std::max<std::int64_t>(1, args.get_int_or("sample_every",
-                                                  std::max<std::int64_t>(
-                                                      1, steps / 10)));
-    const auto seed =
-        static_cast<std::uint64_t>(args.get_int_or("seed", 12345));
+    const auto steps = parsed.steps;
+    const double dt = parsed.dt;
+    const double temperature = parsed.temperature;
+    const auto n_particles = parsed.n_particles;
+    const auto sample_every = std::max<std::int64_t>(1, parsed.sample_every);
+    const auto seed = static_cast<std::uint64_t>(parsed.seed);
     const std::string out = args.get_string_or("out", "traj.dat");
     const std::string stage_as = args.get_string_or("stage_as", out);
     const std::string energy_out = args.get_string_or("energy_out", "");
     const std::string start_from = args.get_string_or("start_from", "");
     const std::string system_kind = args.get_string_or("system", "auto");
-    const double epsilon = args.get_double_or("epsilon", 1.0);
-    const Count cores = args.get_int_or("cores", 1);
+    const double epsilon = parsed.epsilon;
+    const Count cores = parsed.cores;
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
-    bound.pre_exec = entry.value().pre_exec;
+    bound.executable = entry->executable;
+    bound.pre_exec = entry->pre_exec;
     bound.arguments = {"-steps", std::to_string(steps), "-T",
-                       std::to_string(temperature), "-o", out};
+                       format_fixed(temperature), "-o", out};
     bound.cores = cores;
     bound.uses_mpi = cores > 1;
     const double step_cost =
@@ -218,7 +180,7 @@ class MdSimulateKernel final : public KernelBase {
       return Status::ok();
     };
 
-    const double traj_mb = args.get_double_or("io_mb", 2.0);
+    const double traj_mb = parsed.io_mb;
     if (!start_from.empty()) {
       pilot::StagingDirective stage_in;
       stage_in.source = start_from;
@@ -237,6 +199,74 @@ class MdSimulateKernel final : public KernelBase {
       bound.output_staging.push_back(std::move(stage_energy));
     }
     return bound;
+  }
+
+ private:
+  struct Args {
+    std::int64_t steps = 3000;
+    double dt = 0.005;
+    double temperature = 1.0;
+    std::int64_t n_particles = 2881;
+    std::int64_t sample_every = 300;
+    std::int64_t seed = 12345;
+    double epsilon = 1.0;
+    std::int64_t cores = 1;
+    double io_mb = 2.0;
+  };
+
+  /// Reads and checks every numeric argument once.
+  static Result<Args> parse(const Config& args) {
+    Args parsed;
+    const std::string engine = args.get_string_or("engine", "amber");
+    if (engine != "amber" && engine != "gromacs") {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: engine must be amber or gromacs");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.steps, args.get_int_or("steps", 3000));
+    if (parsed.steps <= 0) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: steps must be > 0");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.n_particles,
+                          args.get_int_or("n_particles", 2881));
+    if (parsed.n_particles < 2) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: n_particles must be >= 2");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.temperature,
+                          args.get_double_or("temperature", 1.0));
+    if (parsed.temperature <= 0.0) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: temperature must be > 0");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.cores, args.get_int_or("cores", 1));
+    if (parsed.cores < 1) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: cores must be >= 1");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.epsilon, args.get_double_or("epsilon", 1.0));
+    if (parsed.epsilon <= 0.0) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: epsilon must be > 0");
+    }
+    const std::string system = args.get_string_or("system", "auto");
+    if (system != "auto" && system != "dipeptide" && system != "fluid") {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: system must be auto, dipeptide or "
+                        "fluid");
+    }
+    if (system == "dipeptide" && parsed.n_particles < 25) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.simulate: dipeptide needs n_particles >= 25");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.dt, args.get_double_or("dt", 0.005));
+    ENTK_ASSIGN_OR_RETURN(
+        parsed.sample_every,
+        args.get_int_or("sample_every",
+                        std::max<std::int64_t>(1, parsed.steps / 10)));
+    ENTK_ASSIGN_OR_RETURN(parsed.seed, args.get_int_or("seed", 12345));
+    ENTK_ASSIGN_OR_RETURN(parsed.io_mb, args.get_double_or("io_mb", 2.0));
+    return parsed;
   }
 };
 
@@ -276,61 +306,17 @@ class MdExchangeKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    if (args.contains("eps_a")) {
-      for (const char* key : {"pair_a", "pair_b", "eps_b", "temperature",
-                              "traj_a", "traj_b"}) {
-        if (!args.contains(key)) {
-          return make_error(
-              Errc::kInvalidArgument,
-              std::string("md.exchange: hamiltonian mode needs '") + key +
-                  "'");
-        }
-      }
-      if (args.get_double("eps_a").value() <= 0.0 ||
-          args.get_double("eps_b").value() <= 0.0 ||
-          args.get_double("temperature").value() <= 0.0) {
-        return make_error(Errc::kInvalidArgument,
-                          "md.exchange: epsilons and temperature must be "
-                          "positive");
-      }
-      return Status::ok();
-    }
-    if (args.contains("pair_a")) {
-      for (const char* key : {"pair_b", "t_a", "t_b"}) {
-        if (!args.contains(key)) {
-          return make_error(Errc::kInvalidArgument,
-                            std::string("md.exchange: pairwise mode needs "
-                                        "'") +
-                                key + "'");
-        }
-      }
-      if (args.get_double("t_a").value() <= 0.0 ||
-          args.get_double("t_b").value() <= 0.0) {
-        return make_error(Errc::kInvalidArgument,
-                          "md.exchange: temperatures must be positive");
-      }
-      return Status::ok();
-    }
-    if (!args.contains("n_replicas")) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.exchange: 'n_replicas' is required");
-    }
-    if (args.get_int("n_replicas").value() < 2) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.exchange: need at least 2 replicas");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const Args parsed, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
 
-    const auto seed =
-        static_cast<std::uint64_t>(args.get_int_or("seed", 777));
+    const auto seed = static_cast<std::uint64_t>(parsed.seed);
     const std::string prefix =
         args.get_string_or("energy_prefix", "replica_");
     const std::string out =
@@ -338,7 +324,7 @@ class MdExchangeKernel final : public KernelBase {
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
+    bound.executable = entry->executable;
 
     auto read_energy = [prefix](const pilot::UnitRuntimeContext& context,
                                 std::int64_t replica,
@@ -354,18 +340,18 @@ class MdExchangeKernel final : public KernelBase {
       return Status::ok();
     };
 
-    if (args.contains("eps_a")) {
+    if (parsed.mode == Mode::kHamiltonian) {
       // ---- Hamiltonian pairwise mode ----
-      const auto pair_a = args.get_int("pair_a").value();
-      const auto pair_b = args.get_int("pair_b").value();
-      const double eps_a = args.get_double("eps_a").value();
-      const double eps_b = args.get_double("eps_b").value();
-      const double temperature = args.get_double("temperature").value();
-      const std::string traj_a = args.get_string("traj_a").value();
-      const std::string traj_b = args.get_string("traj_b").value();
+      const auto pair_a = parsed.pair_a;
+      const auto pair_b = parsed.pair_b;
+      const double eps_a = parsed.eps_a;
+      const double eps_b = parsed.eps_b;
+      const double temperature = parsed.temperature;
+      const std::string traj_a = args.get_string_or("traj_a", "");
+      const std::string traj_b = args.get_string_or("traj_b", "");
       const std::string system_kind =
           args.get_string_or("system", "fluid");
-      const auto n_particles = args.get_int_or("n_particles", 32);
+      const auto n_particles = parsed.n_particles;
       bound.arguments = {"--hamiltonian-pair", std::to_string(pair_a),
                          std::to_string(pair_b)};
       // Four potential evaluations of an N-particle system.
@@ -436,12 +422,12 @@ class MdExchangeKernel final : public KernelBase {
                << u_ba << "\nu_bb " << u_bb << "\n";
         return Status::ok();
       };
-    } else if (args.contains("pair_a")) {
+    } else if (parsed.mode == Mode::kPairwise) {
       // ---- pairwise (asynchronous) mode ----
-      const auto pair_a = args.get_int("pair_a").value();
-      const auto pair_b = args.get_int("pair_b").value();
-      const double t_a = args.get_double("t_a").value();
-      const double t_b = args.get_double("t_b").value();
+      const auto pair_a = parsed.pair_a;
+      const auto pair_b = parsed.pair_b;
+      const double t_a = parsed.t_a;
+      const double t_b = parsed.t_b;
       bound.arguments = {"--pair", std::to_string(pair_a),
                          std::to_string(pair_b)};
       bound.estimated_duration = 0.5 / machine.performance_factor;
@@ -467,10 +453,10 @@ class MdExchangeKernel final : public KernelBase {
       };
     } else {
       // ---- global-sweep (synchronous) mode ----
-      const auto n_replicas = args.get_int("n_replicas").value();
-      const double t_min = args.get_double_or("t_min", 0.8);
-      const double t_max = args.get_double_or("t_max", 2.0);
-      const auto sweep = args.get_int_or("sweep", 0);
+      const auto n_replicas = parsed.n_replicas;
+      const double t_min = parsed.t_min;
+      const double t_max = parsed.t_max;
+      const auto sweep = parsed.sweep;
       const std::string rungs_csv = args.get_string_or("rungs", "");
       bound.arguments = {"-n", std::to_string(n_replicas)};
       // Serial pairwise exchange: cost grows with the number of
@@ -554,6 +540,91 @@ class MdExchangeKernel final : public KernelBase {
     bound.output_staging.push_back(std::move(stage_out));
     return bound;
   }
+
+ private:
+  enum class Mode { kHamiltonian, kPairwise, kSweep };
+  struct Args {
+    Mode mode = Mode::kSweep;
+    std::int64_t seed = 777;
+    std::int64_t pair_a = 0;  ///< Pairwise and Hamiltonian modes.
+    std::int64_t pair_b = 0;
+    double eps_a = 1.0;  ///< Hamiltonian mode.
+    double eps_b = 1.0;
+    double temperature = 1.0;
+    std::int64_t n_particles = 32;
+    double t_a = 1.0;  ///< Pairwise mode.
+    double t_b = 1.0;
+    std::int64_t n_replicas = 2;  ///< Global-sweep mode.
+    double t_min = 0.8;
+    double t_max = 2.0;
+    std::int64_t sweep = 0;
+  };
+
+  static Status require(const Config& args,
+                        std::initializer_list<const char*> keys,
+                        const char* mode) {
+    for (const char* key : keys) {
+      if (!args.contains(key)) {
+        return make_error(Errc::kInvalidArgument,
+                          std::string("md.exchange: ") + mode +
+                              " mode needs '" + key + "'");
+      }
+    }
+    return Status::ok();
+  }
+
+  /// Picks the mode and reads and checks its numeric arguments once.
+  static Result<Args> parse(const Config& args) {
+    Args parsed;
+    if (args.contains("eps_a")) {
+      parsed.mode = Mode::kHamiltonian;
+      ENTK_RETURN_IF_ERROR(require(args,
+                                   {"pair_a", "pair_b", "eps_b",
+                                    "temperature", "traj_a", "traj_b"},
+                                   "hamiltonian"));
+      ENTK_ASSIGN_OR_RETURN(parsed.eps_a, args.get_double("eps_a"));
+      ENTK_ASSIGN_OR_RETURN(parsed.eps_b, args.get_double("eps_b"));
+      ENTK_ASSIGN_OR_RETURN(parsed.temperature,
+                            args.get_double("temperature"));
+      if (parsed.eps_a <= 0.0 || parsed.eps_b <= 0.0 ||
+          parsed.temperature <= 0.0) {
+        return make_error(Errc::kInvalidArgument,
+                          "md.exchange: epsilons and temperature must be "
+                          "positive");
+      }
+      ENTK_ASSIGN_OR_RETURN(parsed.pair_a, args.get_int("pair_a"));
+      ENTK_ASSIGN_OR_RETURN(parsed.pair_b, args.get_int("pair_b"));
+      ENTK_ASSIGN_OR_RETURN(parsed.n_particles,
+                            args.get_int_or("n_particles", 32));
+    } else if (args.contains("pair_a")) {
+      parsed.mode = Mode::kPairwise;
+      ENTK_RETURN_IF_ERROR(
+          require(args, {"pair_b", "t_a", "t_b"}, "pairwise"));
+      ENTK_ASSIGN_OR_RETURN(parsed.t_a, args.get_double("t_a"));
+      ENTK_ASSIGN_OR_RETURN(parsed.t_b, args.get_double("t_b"));
+      if (parsed.t_a <= 0.0 || parsed.t_b <= 0.0) {
+        return make_error(Errc::kInvalidArgument,
+                          "md.exchange: temperatures must be positive");
+      }
+      ENTK_ASSIGN_OR_RETURN(parsed.pair_a, args.get_int("pair_a"));
+      ENTK_ASSIGN_OR_RETURN(parsed.pair_b, args.get_int("pair_b"));
+    } else {
+      if (!args.contains("n_replicas")) {
+        return make_error(Errc::kInvalidArgument,
+                          "md.exchange: 'n_replicas' is required");
+      }
+      ENTK_ASSIGN_OR_RETURN(parsed.n_replicas, args.get_int("n_replicas"));
+      if (parsed.n_replicas < 2) {
+        return make_error(Errc::kInvalidArgument,
+                          "md.exchange: need at least 2 replicas");
+      }
+      ENTK_ASSIGN_OR_RETURN(parsed.t_min, args.get_double_or("t_min", 0.8));
+      ENTK_ASSIGN_OR_RETURN(parsed.t_max, args.get_double_or("t_max", 2.0));
+      ENTK_ASSIGN_OR_RETURN(parsed.sweep, args.get_int_or("sweep", 0));
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.seed, args.get_int_or("seed", 777));
+    return parsed;
+  }
 };
 
 /// md.coco — serial CoCo (PCA resampling) over all simulation
@@ -571,34 +642,26 @@ class MdCocoKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    if (!args.contains("n_sims")) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.coco: 'n_sims' is required");
-    }
-    if (args.get_int("n_sims").value() < 1) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.coco: n_sims must be >= 1");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const Args parsed, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
 
-    const auto n_sims = args.get_int("n_sims").value();
-    const auto frames_per_sim = args.get_int_or("frames_per_sim", 10);
+    const auto n_sims = parsed.n_sims;
+    const auto frames_per_sim = parsed.frames_per_sim;
     const std::string prefix = args.get_string_or("traj_prefix", "traj_");
     const std::string suffix = args.get_string_or("traj_suffix", ".dat");
-    const auto n_new_points = args.get_int_or("n_new_points", n_sims);
+    const auto n_new_points = parsed.n_new_points;
     const std::string out = args.get_string_or("out", "coco_points.txt");
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
+    bound.executable = entry->executable;
     bound.arguments = {"--nsims", std::to_string(n_sims)};
     // Serial analysis over every frame of every simulation: the cost
     // grows with the ensemble size (Figs 7/8).
@@ -647,6 +710,32 @@ class MdCocoKernel final : public KernelBase {
     bound.output_staging.push_back(std::move(stage_out));
     return bound;
   }
+
+ private:
+  struct Args {
+    std::int64_t n_sims = 1;
+    std::int64_t frames_per_sim = 10;
+    std::int64_t n_new_points = 1;
+  };
+
+  /// Reads and checks every numeric argument once.
+  static Result<Args> parse(const Config& args) {
+    Args parsed;
+    if (!args.contains("n_sims")) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.coco: 'n_sims' is required");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.n_sims, args.get_int("n_sims"));
+    if (parsed.n_sims < 1) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.coco: n_sims must be >= 1");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.frames_per_sim,
+                          args.get_int_or("frames_per_sim", 10));
+    ENTK_ASSIGN_OR_RETURN(parsed.n_new_points,
+                          args.get_int_or("n_new_points", parsed.n_sims));
+    return parsed;
+  }
 };
 
 /// md.lsdmap — diffusion-map analysis of one trajectory. Arguments:
@@ -662,28 +751,24 @@ class MdLsdmapKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    if (args.get_int_or("n_frames", 100) < 2) {
-      return make_error(Errc::kInvalidArgument,
-                        "md.lsdmap: n_frames must be >= 2");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const Args parsed, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
 
     const std::string traj = args.get_string_or("traj", "traj.dat");
-    const auto n_frames = args.get_int_or("n_frames", 100);
-    const auto n_coords = args.get_int_or("n_coords", 2);
+    const auto n_frames = parsed.n_frames;
+    const auto n_coords = parsed.n_coords;
     const std::string out = args.get_string_or("out", "lsdmap.txt");
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
+    bound.executable = entry->executable;
     bound.arguments = {"-f", traj};
     // Pairwise distance matrix dominates: O(frames^2).
     bound.estimated_duration =
@@ -723,13 +808,33 @@ class MdLsdmapKernel final : public KernelBase {
 
     pilot::StagingDirective stage_in;
     stage_in.source = traj;
-    stage_in.size_mb = args.get_double_or("io_mb", 2.0);
+    stage_in.size_mb = parsed.io_mb;
     bound.input_staging.push_back(std::move(stage_in));
     pilot::StagingDirective stage_out;
     stage_out.source = out;
     stage_out.size_mb = 0.01;
     bound.output_staging.push_back(std::move(stage_out));
     return bound;
+  }
+
+ private:
+  struct Args {
+    std::int64_t n_frames = 100;
+    std::int64_t n_coords = 2;
+    double io_mb = 2.0;
+  };
+
+  /// Reads and checks every numeric argument once.
+  static Result<Args> parse(const Config& args) {
+    Args parsed;
+    ENTK_ASSIGN_OR_RETURN(parsed.n_frames, args.get_int_or("n_frames", 100));
+    if (parsed.n_frames < 2) {
+      return make_error(Errc::kInvalidArgument,
+                        "md.lsdmap: n_frames must be >= 2");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.n_coords, args.get_int_or("n_coords", 2));
+    ENTK_ASSIGN_OR_RETURN(parsed.io_mb, args.get_double_or("io_mb", 2.0));
+    return parsed;
   }
 };
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <thread>
 
+#include "common/strings.hpp"
 #include "kernels/registry.hpp"
 
 namespace entk::kernels {
@@ -28,29 +29,24 @@ class MkfileKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    const auto size = args.get_double_or("size_kb", 1.0);
-    if (size <= 0.0) {
-      return make_error(Errc::kInvalidArgument,
-                        "misc.mkfile: size_kb must be > 0");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const Args parsed, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
 
     const std::string filename =
         args.get_string_or("filename", "output.txt");
-    const double size_kb = args.get_double_or("size_kb", 1.0);
+    const double size_kb = parsed.size_kb;
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
-    bound.pre_exec = entry.value().pre_exec;
+    bound.executable = entry->executable;
+    bound.pre_exec = entry->pre_exec;
     bound.arguments = {"if=/dev/zero", "of=" + filename, "bs=1024",
                        "count=" + std::to_string(
                                       static_cast<long long>(size_kb))};
@@ -81,8 +77,26 @@ class MkfileKernel final : public KernelBase {
     stage_out.target = args.get_string_or("stage_as", filename);
     stage_out.size_mb = size_kb / 1024.0;
     bound.output_staging.push_back(std::move(stage_out));
-    apply_staging_args(args, bound);
+    apply_staging_args(args, parsed.io_mb, bound);
     return bound;
+  }
+
+ private:
+  struct Args {
+    double size_kb = 1.0;
+    double io_mb = 1.0;
+  };
+
+  /// Reads and checks every numeric argument once.
+  static Result<Args> parse(const Config& args) {
+    Args parsed;
+    ENTK_ASSIGN_OR_RETURN(parsed.size_kb, args.get_double_or("size_kb", 1.0));
+    if (parsed.size_kb <= 0.0) {
+      return make_error(Errc::kInvalidArgument,
+                        "misc.mkfile: size_kb must be > 0");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.io_mb, args.get_double_or("io_mb", 1.0));
+    return parsed;
   }
 };
 
@@ -97,29 +111,26 @@ class CcountKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    if (!args.contains("input")) {
-      return make_error(Errc::kInvalidArgument,
-                        "misc.ccount: 'input' argument is required");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const double io_mb, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
 
-    const std::string input = args.get_string(("input")).value();
+    const std::string input = args.get_string_or("input", "");
     const std::string output =
         args.get_string_or("output", input + ".count");
-    const double size_mb = args.get_double_or("io_mb", 0.001);
+    // The staged-in file defaults to 1 KB; extra inputs/outputs to 1 MB.
+    const double size_mb = args.contains("io_mb") ? io_mb : 0.001;
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
-    bound.pre_exec = entry.value().pre_exec;
+    bound.executable = entry->executable;
+    bound.pre_exec = entry->pre_exec;
     bound.arguments = {"-c", input};
     bound.estimated_duration =
         (0.3 + 0.02 * size_mb) / machine.performance_factor;
@@ -152,8 +163,18 @@ class CcountKernel final : public KernelBase {
     stage_out.source = output;
     stage_out.size_mb = 0.0001;
     bound.output_staging.push_back(std::move(stage_out));
-    apply_staging_args(args, bound);
+    apply_staging_args(args, io_mb, bound);
     return bound;
+  }
+
+ private:
+  /// Checks the arguments and returns io_mb (default 1.0), parsed once.
+  static Result<double> parse(const Config& args) {
+    if (!args.contains("input")) {
+      return make_error(Errc::kInvalidArgument,
+                        "misc.ccount: 'input' argument is required");
+    }
+    return args.get_double_or("io_mb", 1.0);
   }
 };
 
@@ -165,26 +186,22 @@ class ChksumKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    if (!args.contains("input")) {
-      return make_error(Errc::kInvalidArgument,
-                        "misc.chksum: 'input' argument is required");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
+    ENTK_ASSIGN_OR_RETURN(const double io_mb, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
 
-    const std::string input = args.get_string(("input")).value();
+    const std::string input = args.get_string_or("input", "");
     const std::string output = args.get_string_or("output", input + ".sum");
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
+    bound.executable = entry->executable;
     bound.arguments = {input};
     bound.estimated_duration = 0.2 / machine.performance_factor;
     bound.payload = [input, output](
@@ -210,13 +227,23 @@ class ChksumKernel final : public KernelBase {
     };
     pilot::StagingDirective stage_in;
     stage_in.source = input;
-    stage_in.size_mb = args.get_double_or("io_mb", 0.001);
+    stage_in.size_mb = io_mb;
     bound.input_staging.push_back(std::move(stage_in));
     pilot::StagingDirective stage_out;
     stage_out.source = output;
     stage_out.size_mb = 0.0001;
     bound.output_staging.push_back(std::move(stage_out));
     return bound;
+  }
+
+ private:
+  /// Checks the arguments and returns io_mb (default 0.001), parsed once.
+  static Result<double> parse(const Config& args) {
+    if (!args.contains("input")) {
+      return make_error(Errc::kInvalidArgument,
+                        "misc.chksum: 'input' argument is required");
+    }
+    return args.get_double_or("io_mb", 0.001);
   }
 };
 
@@ -231,34 +258,51 @@ class SleepKernel final : public KernelBase {
   }
 
   Status validate(const Config& args) const override {
-    if (args.get_double_or("duration", 1.0) < 0.0) {
-      return make_error(Errc::kInvalidArgument,
-                        "misc.sleep: duration must be >= 0");
-    }
-    return Status::ok();
+    return parse(args).status();
   }
 
   Result<BoundKernel> bind(const Config& args,
                            const sim::MachineProfile& machine)
       const override {
-    ENTK_RETURN_IF_ERROR(validate(args));
-    auto entry = machine_entry(machine.name);
-    if (!entry.ok()) return entry.status();
-    const double duration = args.get_double_or("duration", 1.0);
+    ENTK_ASSIGN_OR_RETURN(const Args parsed, parse(args));
+    ENTK_ASSIGN_OR_RETURN(const KernelMachineEntry* entry,
+                          machine_entry(machine.name));
+    const double duration = parsed.duration;
 
     BoundKernel bound;
     bound.kernel_name = name();
-    bound.executable = entry.value().executable;
-    bound.arguments = {std::to_string(duration)};
-    bound.cores = args.get_int_or("cores", 1);
+    bound.executable = entry->executable;
+    bound.arguments = {format_fixed(duration)};
+    bound.cores = parsed.cores;
     bound.uses_mpi = bound.cores > 1;
     bound.estimated_duration = duration;  // machine-independent
     bound.payload = [duration](const pilot::UnitRuntimeContext&) -> Status {
       std::this_thread::sleep_for(std::chrono::duration<double>(duration));
       return Status::ok();
     };
-    apply_staging_args(args, bound);
+    apply_staging_args(args, parsed.io_mb, bound);
     return bound;
+  }
+
+ private:
+  struct Args {
+    double duration = 1.0;
+    std::int64_t cores = 1;
+    double io_mb = 1.0;
+  };
+
+  /// Reads and checks every numeric argument once.
+  static Result<Args> parse(const Config& args) {
+    Args parsed;
+    ENTK_ASSIGN_OR_RETURN(parsed.duration,
+                          args.get_double_or("duration", 1.0));
+    if (parsed.duration < 0.0) {
+      return make_error(Errc::kInvalidArgument,
+                        "misc.sleep: duration must be >= 0");
+    }
+    ENTK_ASSIGN_OR_RETURN(parsed.cores, args.get_int_or("cores", 1));
+    ENTK_ASSIGN_OR_RETURN(parsed.io_mb, args.get_double_or("io_mb", 1.0));
+    return parsed;
   }
 };
 

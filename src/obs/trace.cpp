@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <deque>
+#include <unordered_map>
 
 namespace entk::obs {
 namespace {
@@ -39,16 +41,24 @@ std::uint32_t next_pilot_ordinal() {
 namespace {
 
 // Session-name interning. Leaky for the same reason as the recorder:
-// labels may be resolved during static teardown by exporters.
+// labels may be resolved during static teardown by exporters. A
+// long-running entk-serve interns one name per workload it ever ran,
+// so lookups hash instead of scanning.
 Mutex& session_registry_mutex() {
   static Mutex* const mutex = new Mutex(LockRank::kSessionRegistry);
   return *mutex;
 }
 
-std::vector<std::string>& session_names() {
-  static std::vector<std::string>* const names =
-      new std::vector<std::string>();
-  return *names;
+struct SessionRegistry {
+  /// names[ordinal - 1] is the label of `ordinal`. A deque never moves
+  /// its elements, so the map's keys can view them.
+  std::deque<std::string> names;
+  std::unordered_map<std::string_view, std::uint32_t> ordinals;
+};
+
+SessionRegistry& session_registry() {
+  static SessionRegistry* const registry = new SessionRegistry();
+  return *registry;
 }
 
 }  // namespace
@@ -56,18 +66,19 @@ std::vector<std::string>& session_names() {
 std::uint32_t session_ordinal(std::string_view name) {
   if (name.empty()) return 0;
   MutexLock lock(session_registry_mutex());
-  std::vector<std::string>& names = session_names();
-  for (std::size_t i = 0; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<std::uint32_t>(i + 1);
-  }
-  names.emplace_back(name);
-  return static_cast<std::uint32_t>(names.size());
+  SessionRegistry& registry = session_registry();
+  const auto it = registry.ordinals.find(name);
+  if (it != registry.ordinals.end()) return it->second;
+  registry.names.emplace_back(name);
+  const auto ordinal = static_cast<std::uint32_t>(registry.names.size());
+  registry.ordinals.emplace(registry.names.back(), ordinal);
+  return ordinal;
 }
 
 std::string session_label(std::uint32_t ordinal) {
   if (ordinal == 0) return std::string();
   MutexLock lock(session_registry_mutex());
-  const std::vector<std::string>& names = session_names();
+  const std::deque<std::string>& names = session_registry().names;
   if (ordinal > names.size()) return std::string();
   return names[ordinal - 1];
 }

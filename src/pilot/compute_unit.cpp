@@ -6,12 +6,12 @@
 namespace entk::pilot {
 
 ComputeUnit::ComputeUnit(std::string uid, UnitDescription description,
-                         const Clock& clock)
+                         const Clock& clock, std::uint32_t session_ordinal)
     : uid_(std::move(uid)),
       description_(std::move(description)),
       clock_(clock),
       trace_flow_(obs::trace_flow_id(uid_)),
-      session_ordinal_(obs::session_ordinal(description_.session)) {}
+      session_ordinal_(session_ordinal) {}
 
 UnitState ComputeUnit::state() const {
   MutexLock lock(mutex_);
@@ -66,7 +66,11 @@ void ComputeUnit::on_state_change(Callback callback) {
   // never fire; retaining it would only keep its captures (often other
   // units) alive in a reference cycle.
   if (settled_locked()) return;
-  callbacks_.push_back(std::move(callback));
+  auto next = callbacks_ == nullptr
+                  ? std::make_shared<CallbackList>()
+                  : std::make_shared<CallbackList>(*callbacks_);
+  next->push_back(std::move(callback));
+  callbacks_ = std::move(next);
 }
 
 bool ComputeUnit::settled_locked() const {
@@ -82,7 +86,7 @@ bool ComputeUnit::settled_locked() const {
 }
 
 Status ComputeUnit::advance_state(UnitState to, Status failure) {
-  std::vector<Callback> callbacks;
+  std::shared_ptr<const CallbackList> callbacks;
   {
     MutexLock lock(mutex_);
     if (!is_valid_transition(state_, to)) {
@@ -143,10 +147,11 @@ Status ComputeUnit::advance_state(UnitState to, Status failure) {
     // the observer list so callback captures (frequently shared_ptrs
     // to sibling units, as in watch_unit exchange chains) cannot form
     // unreclaimable reference cycles between units.
-    if (settled_locked()) callbacks_.clear();
+    if (settled_locked()) callbacks_.reset();
   }
   ENTK_DEBUG("pilot.unit") << uid_ << " -> " << unit_state_name(to);
-  for (const auto& callback : callbacks) callback(*this, to);
+  if (callbacks == nullptr) return Status::ok();
+  for (const auto& callback : *callbacks) callback(*this, to);
   return Status::ok();
 }
 

@@ -26,8 +26,10 @@ class ComputeUnit {
  public:
   using Callback = std::function<void(ComputeUnit&, UnitState)>;
 
+  /// `session_ordinal` is obs::session_ordinal(description.session),
+  /// which the creator (a UnitManager) has already interned.
   ComputeUnit(std::string uid, UnitDescription description,
-              const Clock& clock);
+              const Clock& clock, std::uint32_t session_ordinal);
 
   const std::string& uid() const { return uid_; }
   const UnitDescription& description() const { return description_; }
@@ -37,7 +39,7 @@ class ComputeUnit {
   std::uint64_t trace_flow() const { return trace_flow_; }
 
   /// Trace ordinal of the owning session (obs::session_ordinal of
-  /// description().session), cached so instrumentation in agents never
+  /// description().session), held so instrumentation in agents never
   /// re-interns the name. 0 for legacy unnamed sessions.
   std::uint32_t session_ordinal() const { return session_ordinal_; }
 
@@ -116,7 +118,11 @@ class ComputeUnit {
   TimePoint exec_started_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint exec_stopped_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint finished_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
-  std::vector<Callback> callbacks_ ENTK_GUARDED_BY(mutex_);
+  /// Immutable snapshot, replaced (copy-on-write) when a callback is
+  /// added: a transition takes it by refcount instead of copying the
+  /// list, and callbacks added during a transition see only later ones.
+  using CallbackList = std::vector<Callback>;
+  std::shared_ptr<const CallbackList> callbacks_ ENTK_GUARDED_BY(mutex_);
 };
 
 using ComputeUnitPtr = std::shared_ptr<ComputeUnit>;

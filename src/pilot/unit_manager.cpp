@@ -61,7 +61,8 @@ Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
     ENTK_RETURN_IF_ERROR(description.validate());
     description.session = session_;
     auto unit = std::make_shared<ComputeUnit>(
-        unit_uids_.next(), std::move(description), backend_.clock());
+        unit_uids_.next(), std::move(description), backend_.clock(),
+        session_ordinal_);
     unit->stamp_created();
     ENTK_TRACE_INSTANT_FLOW_S("unit.created", "unit", unit->trace_flow(),
                               0, session_ordinal_);
@@ -80,6 +81,7 @@ Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
     MutexLock lock(mutex_);
     for (const auto& unit : units) {
       entries_.emplace(unit.get(), Entry{unit, false});
+      ++unsettled_;
       unrouted_.push_back(unit);
       ++total_units_;
     }
@@ -105,16 +107,14 @@ void UnitManager::route_pending() {
   std::vector<ComputeUnitPtr> oversized;
   {
     MutexLock lock(mutex_);
-    std::vector<Pilot*> active;
+    if (unrouted_.empty()) return;
     std::vector<Agent*> agents;
     for (const auto& pilot : pilots_) {
       if (pilot->state() == PilotState::kActive && pilot->agent()) {
-        active.push_back(pilot.get());
         agents.push_back(pilot->agent());
       }
     }
     if (agents.empty()) return;
-    std::unordered_map<Agent*, std::size_t> batch_of;
     while (!unrouted_.empty()) {
       ComputeUnitPtr unit = std::move(unrouted_.front());
       unrouted_.pop_front();
@@ -129,14 +129,20 @@ void UnitManager::route_pending() {
         }
       }
       if (target == nullptr) {
-        entries_[unit.get()].settled = true;
+        settle_entry_locked(*unit);
         oversized.push_back(std::move(unit));
         continue;
       }
-      const auto [it, inserted] =
-          batch_of.try_emplace(target, batches.size());
-      if (inserted) batches.push_back({target, {}});
-      batches[it->second].units.push_back(std::move(unit));
+      // At most one batch per pilot: a scan beats hashing.
+      auto batch = std::find_if(
+          batches.begin(), batches.end(),
+          [target](const Batch& candidate) {
+            return candidate.agent == target;
+          });
+      if (batch == batches.end()) {
+        batch = batches.insert(batches.end(), Batch{target, {}});
+      }
+      batch->units.push_back(std::move(unit));
     }
   }
   for (auto& batch : batches) {
@@ -252,7 +258,7 @@ void UnitManager::settle_and_notify(ComputeUnit& unit, UnitState state) {
     MutexLock lock(mutex_);
     const auto it = entries_.find(&unit);
     if (it == entries_.end()) return;  // not managed here
-    it->second.settled = true;
+    settle_entry_locked(it->second);
     if (it->second.notified) return;  // already reported
     it->second.notified = true;
     settled = it->second.unit;
@@ -371,7 +377,7 @@ Status UnitManager::cancel_unit(const ComputeUnitPtr& unit) {
         std::find(unrouted_.begin(), unrouted_.end(), unit);
     if (held != unrouted_.end()) {
       unrouted_.erase(held);
-      entries_[unit.get()].settled = true;
+      settle_entry_locked(*unit);
     } else {
       for (const auto& pilot : pilots_) {
         if (pilot->agent() != nullptr) agents.push_back(pilot->agent());
@@ -422,7 +428,7 @@ Status UnitManager::drain(Duration timeout) {
       MutexLock lock(mutex_);
       const auto it = entries_.find(unit.get());
       if (it != entries_.end() && !it->second.settled) {
-        it->second.settled = true;
+        settle_entry_locked(it->second);
         retry_timers_.erase(unit.get());
         was_held = true;
       }
@@ -460,11 +466,18 @@ std::size_t UnitManager::total_units() const {
 
 std::size_t UnitManager::inflight_units() const {
   MutexLock lock(mutex_);
-  std::size_t count = 0;
-  for (const auto& [pointer, entry] : entries_) {
-    if (!entry.settled) ++count;
-  }
-  return count;
+  return unsettled_;
+}
+
+void UnitManager::settle_entry_locked(Entry& entry) {
+  if (entry.settled) return;
+  entry.settled = true;
+  --unsettled_;
+}
+
+void UnitManager::settle_entry_locked(const ComputeUnit& unit) {
+  const auto it = entries_.find(&unit);
+  if (it != entries_.end()) settle_entry_locked(it->second);
 }
 
 std::size_t UnitManager::total_retries() const {
@@ -515,7 +528,9 @@ void UnitManager::restore_unit(const ComputeUnitPtr& unit, bool settled,
   ENTK_CHECK(unit != nullptr, "cannot restore a null unit");
   {
     MutexLock lock(mutex_);
-    entries_.emplace(unit.get(), Entry{unit, settled, notified});
+    const bool inserted =
+        entries_.emplace(unit.get(), Entry{unit, settled, notified}).second;
+    if (inserted && !settled) ++unsettled_;
   }
   // Settled units refuse the callback (they can never transition
   // again); everything else re-enters the normal retry/settle flow.

@@ -139,7 +139,7 @@ class UnitManager {
 
   /// Number of units handed to this manager over its lifetime.
   std::size_t total_units() const ENTK_EXCLUDES(mutex_);
-  /// Units not yet settled.
+  /// Units not yet settled (a kept count, not a scan).
   std::size_t inflight_units() const ENTK_EXCLUDES(mutex_);
   /// Retries performed so far (every resubmission after a failure).
   std::size_t total_retries() const ENTK_EXCLUDES(mutex_);
@@ -240,6 +240,11 @@ class UnitManager {
     bool settled = false;
     bool notified = false;  ///< Settled observers already fired.
   };
+  /// Flips an entry to settled and keeps unsettled_ in step; every
+  /// place that settles an entry goes through one of these.
+  void settle_entry_locked(Entry& entry) ENTK_REQUIRES(mutex_);
+  /// Same, found by unit; a unit not managed here is ignored.
+  void settle_entry_locked(const ComputeUnit& unit) ENTK_REQUIRES(mutex_);
 
   mutable Mutex mutex_{LockRank::kUnitManager};
   std::vector<PilotPtr> pilots_ ENTK_GUARDED_BY(mutex_);
@@ -247,6 +252,9 @@ class UnitManager {
   std::deque<ComputeUnitPtr> unrouted_ ENTK_GUARDED_BY(mutex_);
   std::unordered_map<const ComputeUnit*, Entry> entries_
       ENTK_GUARDED_BY(mutex_);
+  /// Entries with settled == false: inflight_units() is polled on every
+  /// entk-serve drive iteration, so it must not scan entries_.
+  std::size_t unsettled_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t total_units_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t total_retries_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t recovered_units_ ENTK_GUARDED_BY(mutex_) = 0;

@@ -25,12 +25,12 @@ std::uint32_t event_generation(EventId id) {
 
 }  // namespace
 
-EventId Engine::schedule(Duration delay, std::function<void()> fn) {
+EventId Engine::schedule(Duration delay, TaskFn fn) {
   ENTK_CHECK(delay >= 0.0, "cannot schedule an event in the past");
   return schedule_at(clock_.now() + delay, std::move(fn));
 }
 
-EventId Engine::schedule_at(TimePoint t, std::function<void()> fn) {
+EventId Engine::schedule_at(TimePoint t, TaskFn fn) {
   ENTK_CHECK(t >= clock_.now(), "cannot schedule an event in the past");
   ENTK_CHECK(static_cast<bool>(fn), "event callback must be callable");
   const std::uint32_t slot = acquire_slot();
@@ -153,7 +153,7 @@ void Engine::release_slot(std::uint32_t slot) {
   Slot& event = pool_[slot];
   // Drop the closure's captures now — a recycled slot must not pin
   // shared_ptrs (units, agents) until its next occupant arrives.
-  event.fn = nullptr;
+  event.fn.reset();
   event.heap_pos = kNoHeapPos;
   ++event.generation;
   if (event.generation == 0) ++event.generation;  // 0 is reserved

@@ -14,8 +14,9 @@
 // Storage model (the hot path of every simulation):
 //  - Events live in a slab (std::vector) recycled through a free list,
 //    so steady-state scheduling allocates nothing: no shared_ptr
-//    control blocks, no map nodes. A slot's std::function keeps its
-//    heap buffer across reuse whenever the callback fits.
+//    control blocks, no map nodes. A slot holds its callback in a
+//    TaskFn, whose 48 inline bytes fit every lifecycle closure the
+//    agents schedule; only a larger capture costs a heap allocation.
 //  - The pending set is an index-based binary heap of slot numbers
 //    ordered by (time, seq); each slot stores its heap position, so
 //    cancel() removes the entry immediately (O(log n)) instead of
@@ -27,11 +28,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "common/status.hpp"
+#include "common/task_fn.hpp"
 #include "common/types.hpp"
 
 namespace entk::sim {
@@ -55,10 +56,10 @@ class Engine {
   const Clock& clock() const { return clock_; }
 
   /// Schedules `fn` to run `delay` seconds from now (delay >= 0).
-  EventId schedule(Duration delay, std::function<void()> fn);
+  EventId schedule(Duration delay, TaskFn fn);
 
   /// Schedules `fn` at absolute time `t` (t >= now()).
-  EventId schedule_at(TimePoint t, std::function<void()> fn);
+  EventId schedule_at(TimePoint t, TaskFn fn);
 
   /// Cancels a pending event. Returns false if the event already fired,
   /// was cancelled before, or never existed. The entry leaves the
@@ -118,7 +119,7 @@ class Engine {
   struct Slot {
     TimePoint time = 0.0;
     std::uint64_t seq = 0;  // tie-breaker: FIFO among simultaneous events
-    std::function<void()> fn;
+    TaskFn fn;
     std::uint32_t generation = 1;  // bumped on every release; never 0
     std::uint32_t heap_pos = kNoHeapPos;
     std::uint32_t next_free = kNoHeapPos;  // free-list link

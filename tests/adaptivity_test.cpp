@@ -105,7 +105,7 @@ TEST_F(CancelUnitTest, CancelUnknownUnitFails) {
   units.add_pilot(pilot);
   WallClock clock;
   auto stranger = std::make_shared<pilot::ComputeUnit>(
-      "unit.stranger", sim_unit(1.0), clock);
+      "unit.stranger", sim_unit(1.0), clock, 0);
   EXPECT_EQ(units.cancel_unit(stranger).code(), Errc::kNotFound);
 }
 

@@ -1,6 +1,11 @@
 // Unit tests for the common utilities.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <set>
 #include <thread>
 
@@ -224,6 +229,91 @@ TEST(Strings, FormatSeconds) {
   EXPECT_EQ(format_seconds(0.0), "0 s");
 }
 
+// The text of a formatted number ends up in unit arguments, snapshot
+// bytes and uid strings (which the pinned digests hash), so the
+// to_chars formatting must match printf byte for byte.
+
+/// printf's "%.*f" through the historical 64-byte buffer.
+std::string printf_double(double value, int precision) {
+  char buffer[64];
+  const int length =
+      std::snprintf(buffer, sizeof(buffer), "%.*f", precision, value);
+  EXPECT_GT(length, 0);  // the full length; truncation is the point
+  return buffer;
+}
+
+/// printf's "%f" at full length (what std::to_string(double) does).
+std::string printf_fixed(double value) {
+  const int length = std::snprintf(nullptr, 0, "%f", value);
+  std::string text(static_cast<std::size_t>(length) + 1, '\0');
+  EXPECT_EQ(std::snprintf(text.data(), text.size(), "%f", value), length);
+  text.resize(static_cast<std::size_t>(length));
+  return text;
+}
+
+std::vector<double> formatting_probes() {
+  std::vector<double> probes = {
+      0.0,
+      -0.0,
+      1.0,
+      -1.0,
+      0.5,
+      2.5,
+      0.125,
+      1e-7,
+      30.0,
+      0.005,
+      123456789.123456789,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity()};
+  // 1e45..1e300: texts longer than the 63 bytes format_double keeps.
+  for (int exponent = 45; exponent <= 300; exponent += 5) {
+    probes.push_back(std::pow(10.0, exponent));
+    probes.push_back(-std::pow(10.0, exponent) * 1.2345);
+  }
+  Xoshiro256 rng(2024);
+  for (int i = 0; i < 2000; ++i) {
+    // Random bit patterns cover every exponent; scaled uniforms cover
+    // the everyday range of durations and sizes.
+    const std::uint64_t bits = rng.next();
+    double value = 0.0;
+    std::memcpy(&value, &bits, sizeof(value));
+    probes.push_back(value);
+    probes.push_back((rng.uniform() - 0.5) * std::pow(10.0, i % 24 - 8));
+  }
+  return probes;
+}
+
+TEST(Strings, FormatDoubleMatchesPrintfByteForByte) {
+  for (const double value : formatting_probes()) {
+    for (int precision = 0; precision <= 17; ++precision) {
+      ASSERT_EQ(format_double(value, precision),
+                printf_double(value, precision))
+          << "precision " << precision;
+    }
+  }
+  // Negative precision means printf's default of 6; a huge one still
+  // keeps only the first 63 bytes.
+  EXPECT_EQ(format_double(1.5, -1), printf_double(1.5, -1));
+  EXPECT_EQ(format_double(1.0 / 3.0, 2000), printf_double(1.0 / 3.0, 2000));
+  EXPECT_EQ(format_double(1e300, 17).size(), 63u);
+}
+
+TEST(Strings, FormatFixedMatchesPrintfByteForByte) {
+  for (const double value : formatting_probes()) {
+    ASSERT_EQ(format_fixed(value), printf_fixed(value));
+  }
+  EXPECT_EQ(format_fixed(30.0), "30.000000");
+  EXPECT_EQ(format_fixed(1e300).size(), 301u + 7u);  // never truncated
+}
+
 // ------------------------------------------------------------------ config
 
 TEST(Config, TypedRoundTrips) {
@@ -247,8 +337,67 @@ TEST(Config, MissingAndMalformedKeys) {
   EXPECT_EQ(config.get_double("text").status().code(),
             Errc::kInvalidArgument);
   EXPECT_EQ(config.get_bool("text").status().code(), Errc::kInvalidArgument);
-  EXPECT_EQ(config.get_int_or("absent", 9), 9);
+  EXPECT_EQ(config.get_int_or("absent", 9).value(), 9);
   EXPECT_EQ(config.get_string_or("absent", "d"), "d");
+  // A malformed value under a defaulted getter is an error, not a throw.
+  EXPECT_EQ(config.get_int_or("text", 9).status().code(),
+            Errc::kInvalidArgument);
+  EXPECT_EQ(config.get_double_or("text", 1.0).status().code(),
+            Errc::kInvalidArgument);
+  EXPECT_EQ(config.get_bool_or("text", true).status().code(),
+            Errc::kInvalidArgument);
+}
+
+TEST(Config, NumbersParseWithTheCLibrarysRules) {
+  // What strtod/strtoll accept over the whole stored text, as before
+  // the getters stopped copying it.
+  const auto strtod_accepts = [](const std::string& text) {
+    char* end = nullptr;
+    (void)std::strtod(text.c_str(), &end);
+    return end != text.c_str() && *end == '\0';
+  };
+  const auto strtoll_accepts = [](const std::string& text) {
+    char* end = nullptr;
+    (void)std::strtoll(text.c_str(), &end, 10);
+    return end != text.c_str() && *end == '\0';
+  };
+  const std::vector<std::string> texts = {
+      "1.5", " 1.5", "\t2", "+2", "-3.25", "0x10", "0X1p4", "inf", "-INF",
+      "infinity", "nan", "1e3", "1.5x", "1.5 ", "", " ", "-", "+", "x1",
+      "12abc", "007", "9223372036854775807", "1,5", ".5", "5."};
+  for (const std::string& text : texts) {
+    Config config;
+    config.set("key", text);
+    const auto as_double = config.get_double("key");
+    EXPECT_EQ(as_double.ok(), strtod_accepts(text)) << "'" << text << "'";
+    if (as_double.ok() && !std::isnan(as_double.value())) {
+      EXPECT_EQ(as_double.value(), std::strtod(text.c_str(), nullptr));
+    }
+    EXPECT_EQ(config.get_double_or("key", 7.0).ok(), as_double.ok());
+    const auto as_int = config.get_int("key");
+    EXPECT_EQ(as_int.ok(), strtoll_accepts(text)) << "'" << text << "'";
+    if (as_int.ok()) {
+      EXPECT_EQ(as_int.value(), std::strtoll(text.c_str(), nullptr, 10));
+    }
+    EXPECT_EQ(config.get_int_or("key", 7).ok(), as_int.ok());
+    if (!as_double.ok()) {
+      EXPECT_EQ(as_double.status().message(),
+                "config key 'key' is not a number: " + text);
+    }
+  }
+  // Spot checks of the rules themselves.
+  Config config;
+  config.set("hex", "0x10");
+  config.set("space", " 4");
+  config.set("junk", "4 ");
+  EXPECT_EQ(config.get_double("hex").value(), 16.0);
+  EXPECT_EQ(config.get_int("hex").status().code(), Errc::kInvalidArgument);
+  EXPECT_EQ(config.get_int("space").value(), 4);
+  EXPECT_FALSE(config.get_double("junk").ok());
+  // set(double) writes 17 fraction digits, which read back exactly.
+  config.set("third", 1.0 / 3.0);
+  EXPECT_EQ(config.get_string("third").value(), "0.33333333333333331");
+  EXPECT_EQ(config.get_double("third").value(), 0.33333333333333331);
 }
 
 TEST(Config, FromPairsAndMerge) {
@@ -281,6 +430,26 @@ TEST(Uid, MonotonePerPrefix) {
   EXPECT_TRUE(starts_with(first, "testprefix."));
   EXPECT_TRUE(starts_with(other, "otherprefix."));
   EXPECT_LT(first, second);  // zero-padded counters sort
+}
+
+TEST(Uid, SuffixMatchesPrintfAtTheCounterEdges) {
+  const auto reference = [](std::uint64_t value) {
+    char suffix[32];
+    std::snprintf(suffix, sizeof(suffix), ".%06llu",
+                  static_cast<unsigned long long>(value));
+    return std::string("edgeprefix") + suffix;
+  };
+  for (const std::uint64_t value :
+       {std::uint64_t{0}, std::uint64_t{7}, std::uint64_t{999999},
+        std::uint64_t{1000000}, std::uint64_t{123456789012},
+        std::numeric_limits<std::uint64_t>::max()}) {
+    restore_uid_counters({{"edgeprefix", value}});
+    EXPECT_EQ(next_uid("edgeprefix"), reference(value));
+    restore_uid_counters({{"edgeprefix", value}});
+    EXPECT_EQ(UidSource("edgeprefix").next(), reference(value));
+  }
+  EXPECT_EQ(reference(std::numeric_limits<std::uint64_t>::max()),
+            "edgeprefix.18446744073709551615");
 }
 
 TEST(Uid, ThreadSafeUniqueness) {

@@ -394,6 +394,106 @@ TEST(FaultTolerance, WaitUnitsFiniteTimeoutExpiresWithoutSettling) {
   EXPECT_EQ(manager.inflight_units(), 0u);
 }
 
+/// inflight_units() recomputed by scanning every unit the test made.
+std::size_t scan_unsettled(const UnitManager& manager,
+                           const std::vector<ComputeUnitPtr>& units) {
+  std::size_t count = 0;
+  for (const auto& unit : units) {
+    bool settled = false;
+    bool notified = false;
+    if (manager.unit_entry(unit.get(), settled, notified) && !settled) {
+      ++count;
+    }
+  }
+  return count;
+}
+
+TEST(FaultTolerance, InflightCountMatchesAScanThroughEverySettlePath) {
+  SimBackend backend(sim::localhost_profile());
+  PilotManager pilot_manager(backend);
+  PilotDescription doomed;
+  doomed.resource = "localhost";
+  doomed.cores = 8;
+  doomed.runtime = 50.0;  // expires mid-workload: pilot-loss requeue
+  auto short_pilot = pilot_manager.submit_pilot(doomed);
+  ASSERT_TRUE(short_pilot.ok());
+  PilotDescription survivor = doomed;
+  survivor.runtime = 100000.0;
+  auto long_pilot = pilot_manager.submit_pilot(survivor);
+  ASSERT_TRUE(long_pilot.ok());
+  ASSERT_TRUE(pilot_manager.wait_active(short_pilot.value()).is_ok());
+  ASSERT_TRUE(pilot_manager.wait_active(long_pilot.value()).is_ok());
+
+  UnitManager manager(backend);
+  std::vector<ComputeUnitPtr> all;
+  const auto submit = [&](std::vector<UnitDescription> descriptions) {
+    auto units = manager.submit_units(std::move(descriptions));
+    EXPECT_TRUE(units.ok()) << units.status().to_string();
+    all.insert(all.end(), units.value().begin(), units.value().end());
+    return units.take();
+  };
+  const auto expect_scan = [&](const char* where) {
+    EXPECT_EQ(manager.inflight_units(), scan_unsettled(manager, all))
+        << where;
+  };
+
+  // No pilot yet: submitted units are held unrouted; cancel one there.
+  const auto held = submit({simple_unit(5.0), simple_unit(5.0)});
+  expect_scan("held");
+  ASSERT_TRUE(manager.cancel_unit(held[0]).is_ok());
+  expect_scan("cancelled while unrouted");
+  EXPECT_EQ(manager.inflight_units(), 1u);
+
+  manager.add_pilot(short_pilot.value());
+  manager.add_pilot(long_pilot.value());
+  expect_scan("routed");
+  const auto oversized = submit({simple_unit(1.0, 64)});
+  EXPECT_EQ(oversized[0]->state(), UnitState::kFailed);
+  expect_scan("oversized");
+
+  auto failing = simple_unit(2.0);
+  failing.simulated_fail = true;  // fails once, then backs off 1000 s
+  failing.retry.max_retries = 1;
+  failing.retry.backoff_base = 1000.0;
+  submit({failing});
+  const auto cancelled = submit({simple_unit(500.0)});
+  std::vector<UnitDescription> wide(4, simple_unit(40.0, 8));
+  const auto big = submit(std::move(wide));
+  expect_scan("submitted");
+
+  EXPECT_EQ(manager.wait_units(all, 10.0).code(), Errc::kTimedOut);
+  expect_scan("executing");
+  ASSERT_TRUE(manager.cancel_unit(cancelled[0]).is_ok());
+  expect_scan("cancelled while executing");
+
+  ASSERT_TRUE(manager.wait_units(big).is_ok());
+  EXPECT_GE(manager.recovered_units(), 1u);
+  EXPECT_EQ(manager.pending_retries().size(), 1u);
+  expect_scan("pilot lost, retry in backoff");
+  EXPECT_EQ(manager.inflight_units(), 1u);
+
+  ASSERT_TRUE(manager.drain().is_ok());
+  expect_scan("drained");
+  EXPECT_EQ(manager.inflight_units(), 0u);
+
+  // Checkpoint restore re-registers units with their captured flags;
+  // a unit registered twice is counted once.
+  UnitManager restored(backend);
+  auto pending = std::make_shared<ComputeUnit>(
+      "inflight.restored", simple_unit(1.0), backend.clock(), 0);
+  ASSERT_TRUE(
+      pending->advance_state(UnitState::kPendingExecution).is_ok());
+  restored.restore_unit(pending, false, false);
+  restored.restore_unit(pending, false, false);
+  restored.restore_unit(big[0], true, true);
+  EXPECT_EQ(restored.inflight_units(), 1u);
+  EXPECT_EQ(restored.inflight_units(),
+            scan_unsettled(restored, {pending, big[0]}));
+  ASSERT_TRUE(restored.drain().is_ok());
+  EXPECT_EQ(restored.inflight_units(), 0u);
+  EXPECT_EQ(pending->state(), UnitState::kCanceled);
+}
+
 // ----------------------------------------- exhaustive transition tables
 
 TEST(StateMachines, UnitTransitionTableIsExact) {

@@ -120,6 +120,29 @@ TEST(TraceFlow, IdsAreStableAndNonZero) {
 
 // ------------------------------------------------------------- metrics
 
+TEST(SessionOrdinal, InterningStaysDistinctAndStableOverManyNames) {
+  // entk-serve interns one session name per workload it ever ran.
+  constexpr std::uint32_t kNames = 10000;
+  EXPECT_EQ(obs::session_ordinal(""), 0u);
+  EXPECT_EQ(obs::session_label(0), "");
+  std::vector<std::uint32_t> ordinals;
+  ordinals.reserve(kNames);
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    ordinals.push_back(
+        obs::session_ordinal("ordinal-probe." + std::to_string(i)));
+  }
+  std::vector<std::uint32_t> sorted = ordinals;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+  EXPECT_GT(sorted.front(), 0u);
+  for (std::uint32_t i = 0; i < kNames; ++i) {
+    const std::string name = "ordinal-probe." + std::to_string(i);
+    ASSERT_EQ(obs::session_ordinal(name), ordinals[i]) << name;
+    ASSERT_EQ(obs::session_label(ordinals[i]), name);
+  }
+  EXPECT_EQ(obs::session_label(sorted.back() + 1000000), "");
+}
+
 TEST(Metrics, WellKnownCountersAreSharedProcessWide) {
   auto& metrics = obs::Metrics::instance();
   auto& counter =

@@ -318,12 +318,12 @@ TEST(LocalAgentShutdown, TeardownWhileAUnitFinishesDoesNotAbort) {
         }
         return Status::ok();
       }),
-      clock);
+      clock, 0);
   auto follower = std::make_shared<ComputeUnit>(
       "teardown.u1",
       payload_unit(
           [](const UnitRuntimeContext&) -> Status { return Status::ok(); }),
-      clock);
+      clock, 0);
   for (const auto& unit : {blocked, follower}) {
     unit->stamp_created();
     ASSERT_TRUE(unit->advance_state(UnitState::kPendingExecution).is_ok());

@@ -18,8 +18,8 @@ ComputeUnitPtr unit_with_cores(Count cores) {
   description.cores = cores;
   description.uses_mpi = cores > 1;
   description.simulated_duration = 1.0;
-  auto unit = std::make_shared<ComputeUnit>(next_uid("schedunit"),
-                                            std::move(description), g_clock);
+  auto unit = std::make_shared<ComputeUnit>(
+      next_uid("schedunit"), std::move(description), g_clock, 0);
   ENTK_CHECK(unit->advance_state(UnitState::kPendingExecution).is_ok(), "");
   return unit;
 }

@@ -343,6 +343,32 @@ TEST(ServeService, WorkloadThatFailsToStartLeavesNothingRunning) {
   EXPECT_EQ(driven.service->stats().active_sessions, 0u);
 }
 
+TEST(ServeService, NonNumericKernelArgumentFailsOnlyItsWorkload) {
+  // Kernel arguments stay text until a kernel binds them on the drive
+  // thread; a malformed one must fail its own workload, not the daemon.
+  Driven driven(ServiceConfig{});
+  core::WorkloadSpec corrupted = bag_spec(4);
+  corrupted.sections.at("task").set("duration", "3p");
+  auto bad = driven.service->submit("alice", corrupted);
+  ASSERT_TRUE(bad.ok()) << bad.status().to_string();
+  driven.service->drain();
+  auto failed = driven.service->status(bad.value());
+  ASSERT_TRUE(failed.ok());
+  EXPECT_EQ(failed.value().state, WorkloadState::kFailed);
+  EXPECT_EQ(failed.value().outcome.code(), Errc::kInvalidArgument)
+      << failed.value().outcome.to_string();
+  EXPECT_NE(failed.value().outcome.message().find("3p"), std::string::npos)
+      << failed.value().outcome.to_string();
+
+  auto good = driven.service->submit("bob", bag_spec(4));
+  ASSERT_TRUE(good.ok()) << good.status().to_string();
+  driven.service->drain();
+  auto done = driven.service->status(good.value());
+  ASSERT_TRUE(done.ok());
+  EXPECT_EQ(done.value().state, WorkloadState::kDone);
+  EXPECT_EQ(done.value().units_done, 4u);
+}
+
 // ---------------------------------------------------------------------
 // Protocol entry point (socket-free)
 // ---------------------------------------------------------------------

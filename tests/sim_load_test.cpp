@@ -140,7 +140,7 @@ pilot::ComputeUnitPtr fake_executed_unit(const Clock& clock, Count cores,
   description.uses_mpi = cores > 1;
   description.simulated_duration = stop - start;
   auto unit = std::make_shared<pilot::ComputeUnit>(
-      next_uid("utilunit"), std::move(description), clock);
+      next_uid("utilunit"), std::move(description), clock, 0);
   (void)unit->advance_state(pilot::UnitState::kPendingExecution);
   engine.schedule_at(start, [unit] {
     (void)unit->advance_state(pilot::UnitState::kExecuting);
@@ -178,7 +178,7 @@ TEST(Utilization, EmptyAndNonExecutedUnits) {
   pilot::UnitDescription description;
   description.executable = "x";
   auto never_ran = std::make_shared<pilot::ComputeUnit>(
-      "unit.neverran", description, clock);
+      "unit.neverran", description, clock, 0);
   const auto report = core::compute_utilization({never_ran}, 4);
   EXPECT_EQ(report.executed_units, 0u);
 }

@@ -24,7 +24,7 @@ pilot::ComputeUnitPtr executed_unit(ManualClock& clock,
   description.cores = cores;
   description.uses_mpi = cores > 1;
   auto unit =
-      std::make_shared<pilot::ComputeUnit>(uid, description, clock);
+      std::make_shared<pilot::ComputeUnit>(uid, description, clock, 0);
   EXPECT_TRUE(
       unit->advance_state(pilot::UnitState::kPendingExecution).is_ok());
   clock.advance_to(start);
@@ -52,10 +52,10 @@ TEST(Utilization, UnitsThatNeverExecutedAreIgnored) {
   std::vector<pilot::ComputeUnitPtr> units;
   // Never left kNew: no execution stamps at all.
   units.push_back(std::make_shared<pilot::ComputeUnit>(
-      "unit.idle", description, clock));
+      "unit.idle", description, clock, 0));
   // Canceled while waiting: finished_at set, exec stamps still kNoTime.
   auto canceled = std::make_shared<pilot::ComputeUnit>(
-      "unit.canceled", description, clock);
+      "unit.canceled", description, clock, 0);
   ASSERT_TRUE(
       canceled->advance_state(pilot::UnitState::kPendingExecution).is_ok());
   ASSERT_TRUE(

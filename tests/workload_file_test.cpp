@@ -6,6 +6,8 @@
 #include <sstream>
 
 #include "core/workload_file.hpp"
+#include "kernels/registry.hpp"
+#include "sim/machine.hpp"
 
 namespace entk::core {
 namespace {
@@ -288,7 +290,8 @@ TEST(RunWorkload, LoadFromDiskAndRunLocally) {
 // parse_workload / build_pattern path entk-run uses, so every prefix and
 // every single-bit flip of the shipped examples must either parse or
 // fail with a Status: never throw, never crash (the asan-ubsan lane runs
-// this too).
+// this too). Kernel arguments stay text until a kernel binds them, so
+// every variant that builds also binds each section's kernel.
 // ---------------------------------------------------------------------
 
 std::string read_example(const std::string& name) {
@@ -299,17 +302,44 @@ std::string read_example(const std::string& name) {
   return text.str();
 }
 
+struct SweepTally {
+  std::size_t parsed = 0;       ///< Variants that parsed.
+  std::size_t bind_errors = 0;  ///< Kernel binds that returned an error.
+};
+
+/// Binds every section's kernel the way the execution plugin does when
+/// the pattern submits its tasks.
+void bind_sections(const WorkloadSpec& spec, SweepTally& tally) {
+  static const auto registry =
+      kernels::KernelRegistry::with_builtin_kernels();
+  static const sim::MachineProfile machine = sim::localhost_profile();
+  for (const auto& [name, section] : spec.sections) {
+    auto task = task_from_section(section, StageContext{});
+    if (!task.ok()) continue;
+    auto kernel = registry.find(task.value().kernel);
+    if (!kernel.ok()) continue;
+    const auto bound = kernel.value()->bind(task.value().args, machine);
+    if (!bound.ok()) {
+      EXPECT_EQ(bound.status().code(), Errc::kInvalidArgument)
+          << bound.status().to_string();
+      ++tally.bind_errors;
+    }
+  }
+}
+
 /// What SUBMIT and the serve drive thread do with workload text short
-/// of running it; true when the variant parsed.
-bool parse_and_build(const std::string& text) {
+/// of running it.
+void parse_and_build(const std::string& text, SweepTally& tally) {
   auto spec = parse_workload(text);
   if (!spec.ok()) {
     EXPECT_FALSE(spec.status().message().empty());
-    return false;
+    return;
   }
+  ++tally.parsed;
   auto pattern = build_pattern(spec.value());
-  if (pattern.ok()) (void)pattern.value()->validate();
-  return true;
+  if (!pattern.ok()) return;
+  (void)pattern.value()->validate();
+  bind_sections(spec.value(), tally);
 }
 
 class WorkloadCorruption : public ::testing::TestWithParam<const char*> {};
@@ -317,27 +347,50 @@ class WorkloadCorruption : public ::testing::TestWithParam<const char*> {};
 TEST_P(WorkloadCorruption, EveryTruncationParsesOrFails) {
   const std::string text = read_example(GetParam());
   ASSERT_FALSE(text.empty());
-  std::size_t parsed = 0;
+  SweepTally tally;
   for (std::size_t keep = 0; keep <= text.size(); ++keep) {
-    EXPECT_NO_THROW(parsed += parse_and_build(text.substr(0, keep)))
+    EXPECT_NO_THROW(parse_and_build(text.substr(0, keep), tally))
         << "prefix of " << keep << " bytes";
   }
-  EXPECT_GT(parsed, 0u);  // at least the whole file reaches build_pattern
+  EXPECT_GT(tally.parsed, 0u);  // at least the whole file reaches bind
 }
 
 TEST_P(WorkloadCorruption, EveryBitFlipParsesOrFails) {
   const std::string original = read_example(GetParam());
   ASSERT_FALSE(original.empty());
-  std::size_t parsed = 0;
+  SweepTally tally;
   for (std::size_t i = 0; i < original.size(); ++i) {
     for (int bit = 0; bit < 8; ++bit) {
       std::string text = original;
       text[i] = static_cast<char>(text[i] ^ (1 << bit));
-      EXPECT_NO_THROW(parsed += parse_and_build(text))
+      EXPECT_NO_THROW(parse_and_build(text, tally))
           << "byte " << i << " bit " << bit;
     }
   }
-  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(tally.parsed, 0u);
+  // Flips inside numeric arguments ("duration = 3p") reach the kernels.
+  EXPECT_GT(tally.bind_errors, 0u);
+}
+
+TEST(WorkloadKernelArgs, NonNumericArgumentIsAnErrorNotAThrow) {
+  const std::string text = read_example("bag.entk");
+  const auto at = text.find("duration = 30");
+  ASSERT_NE(at, std::string::npos);
+  std::string corrupted = text;
+  corrupted[at + std::string("duration = 3").size()] = 'p';
+  auto spec = parse_workload(corrupted);
+  ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+  SweepTally tally;
+  EXPECT_NO_THROW(bind_sections(spec.value(), tally));
+  EXPECT_EQ(tally.bind_errors, 1u);
+  const auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  const auto sleep = registry.find("misc.sleep").value();
+  const Status invalid = sleep->validate(spec.value().sections.at("task"));
+  EXPECT_EQ(invalid.code(), Errc::kInvalidArgument);
+  EXPECT_NE(invalid.message().find("'duration'"), std::string::npos)
+      << invalid.message();
+  EXPECT_NE(invalid.message().find("3p"), std::string::npos)
+      << invalid.message();
 }
 
 INSTANTIATE_TEST_SUITE_P(
