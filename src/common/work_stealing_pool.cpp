@@ -20,8 +20,7 @@ constexpr int kSpinSweeps = 64;
 constexpr std::uint32_t kInjectPeriod = 32;
 
 /// Which pool (if any) owns the calling thread. Lets submit_local
-/// route continuations to the caller's own deque and keeps nested
-/// parallel_for calls deadlock-free (the caller participates).
+/// route continuations to the caller's own deque.
 thread_local WorkStealingPool* t_pool = nullptr;
 thread_local std::size_t t_worker_index = 0;
 

@@ -30,13 +30,11 @@
 // is injected by the layer that creates the pool.
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -105,55 +103,6 @@ class WorkStealingPool {
     std::uint64_t parks = 0;
   };
   Stats stats() const;
-
-  /// Runs fn(0) ... fn(n-1), spreading the calls over the pool; the
-  /// caller participates, so completion never depends on pool
-  /// capacity (or on the pool accepting tasks at all — during
-  /// shutdown the caller simply runs everything). Blocks until all n
-  /// calls returned. `fn` is invoked concurrently from several
-  /// threads and must tolerate that; no two calls share an index, and
-  /// results keyed by index need no further ordering.
-  template <typename Fn>
-  void parallel_for(std::size_t n, Fn&& fn) {
-    if (n == 0) return;
-    if (n == 1) {
-      fn(std::size_t{0});
-      return;
-    }
-    struct Shared {
-      std::atomic<std::size_t> next{0};
-      std::atomic<std::size_t> done{0};
-    };
-    // Heap-shared cursor: a helper task that never claims an index may
-    // run after this frame returned, so it must not reference the
-    // stack. `fn` itself is only dereferenced for a claimed index, and
-    // every claimed index completes before the wait below returns.
-    auto shared = std::make_shared<Shared>();
-    const std::remove_reference_t<Fn>* body = &fn;
-    const std::size_t helpers = std::min(thread_count_, n - 1);
-    for (std::size_t h = 0; h < helpers; ++h) {
-      const bool accepted = submit_local(TaskFn([shared, body, n] {
-        for (;;) {
-          const std::size_t i =
-              shared->next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) return;
-          (*body)(i);
-          shared->done.fetch_add(1, std::memory_order_release);
-        }
-      }));
-      if (!accepted) break;  // shutting down: the caller runs the rest
-    }
-    for (;;) {
-      const std::size_t i =
-          shared->next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= n) break;
-      (*body)(i);
-      shared->done.fetch_add(1, std::memory_order_release);
-    }
-    while (shared->done.load(std::memory_order_acquire) != n) {
-      std::this_thread::yield();
-    }
-  }
 
  private:
   /// Growable power-of-two circular buffer. Owner end is the BOTTOM

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "core/parallel_runtime.hpp"
 #include "pilot/states.hpp"
 
 #include "obs/metrics.hpp"
@@ -14,11 +13,6 @@
 namespace entk::core {
 
 namespace {
-
-/// Below this frontier size the spec batch is materialized serially
-/// even with a pool configured: dispatching a handful of SpecFn calls
-/// costs more than running them inline.
-constexpr std::size_t kParallelSpecBatch = 32;
 
 /// A unit is settled when it is final and no retry is pending.
 bool unit_settled(const pilot::ComputeUnit& unit) {
@@ -505,22 +499,6 @@ std::vector<TaskSpec> GraphExecutor::materialize_specs(
   // Specs are produced here — at submission time, outside any lock —
   // so stateful user callbacks observe current application state.
   std::vector<TaskSpec> specs;
-  WorkStealingPool* pool = parallel_pool();
-  if (pool != nullptr && frontier.size() >= kParallelSpecBatch) {
-    // Index-keyed parallel materialization: each call fills its own
-    // pre-sized slot, so the batch comes out in node-id order and the
-    // serial submit below is bit-identical to the serial path (the
-    // pinned golden digests hold at every thread count). SpecFns must
-    // tolerate concurrent invocation ACROSS DIFFERENT NODES — each
-    // node's own SpecFn still runs exactly once.
-    specs.resize(frontier.size());
-    const TaskGraph& graph = graph_;
-    pool->parallel_for(frontier.size(),
-                       [&specs, &graph, &frontier](std::size_t i) {
-                         specs[i] = graph.node(frontier[i]).make_spec();
-                       });
-    return specs;
-  }
   specs.reserve(frontier.size());
   for (const NodeId id : frontier) {
     specs.push_back(graph_.node(id).make_spec());

@@ -81,12 +81,9 @@ class GraphExecutor {
   // --- held dispatch (entk-serve's fair-share scheduler) ---
   // A deferred executor never submits on its own: a settlement only
   // queues its event, and start()/cancel() only materialize. The
-  // drive loop advances the graph with advance_local() (parallelizable
-  // across sessions — it touches only this executor's state and the
-  // user SpecFns) and submits with flush_submit_bounded() (serial —
-  // the backend is shared across sessions and not thread-safe), both
-  // between engine steps. advance_local and the flushes for ONE
-  // executor must not run concurrently with each other.
+  // drive loop advances the graph with advance_local() and submits
+  // with flush_submit_bounded(), both between engine steps and both on
+  // the driver thread, so user SpecFns are never called concurrently.
   /// One advance round, everything but the submission: applies queued
   /// settlement events, decides groups, propagates skips, computes the
   /// next frontier and materializes its specs. Returns true when a
@@ -208,8 +205,7 @@ class GraphExecutor {
   /// Returns true when an expander scheduled more work.
   bool handle_quiesce() ENTK_EXCLUDES(mutex_);
   /// Produces the frontier's specs at submission time, outside any
-  /// lock — across the parallel pool when one is configured and the
-  /// batch is large enough.
+  /// lock, in node-id order on the calling thread.
   std::vector<TaskSpec> materialize_specs(
       const std::vector<NodeId>& frontier) ENTK_EXCLUDES(mutex_);
   /// Submits an already-materialized batch and adopts the units (the

@@ -12,7 +12,7 @@
 //              capacity.
 //   Session  — per workload. Owns its UnitManager (session-scoped
 //              unit uids, settled-observer routing, per-session
-//              metrics), its pilots' lifecycle, and at most one
+//              trace labels), its pilots' lifecycle, and at most one
 //              in-flight pattern run.
 //
 // N sessions run concurrently in one process: each session starts its

@@ -1,6 +1,6 @@
 // Binds a WorkStealingPool's metric sink to the well-known "pool.*"
 // registry counters. The pool lives in common/ and cannot depend on
-// obs/, so layers that construct a pool (pilot, saga, core) inject
+// obs/, so the layer that constructs a pool (pilot's LocalAgent) injects
 // this adapter at construction. Counter::add is one relaxed atomic on
 // a compile-time array slot — safe from worker threads with any locks
 // held.

@@ -35,8 +35,6 @@ LocalBackend::LocalBackend(Count cores, fs::path session_dir) {
 }
 
 LocalBackend::~LocalBackend() {
-  // Join all workers before tearing down the session directory.
-  adaptor_.reset();
   if (owns_session_dir_) {
     std::error_code ec;
     fs::remove_all(session_dir_, ec);

@@ -49,7 +49,6 @@ Result<PilotPtr> PilotManager::submit_pilot(
   job_description.wall_time_limit = description.runtime;
   job_description.queue = description.queue;
   job_description.project = description.project;
-  job_description.simulated_duration = 0.0;  // owner-driven container
 
   auto job = backend_.job_service().submit(std::move(job_description));
   if (!job.ok()) return job.status();

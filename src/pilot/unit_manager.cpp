@@ -14,22 +14,7 @@ UnitManager::UnitManager(ExecutionBackend& backend, std::string session)
       session_(std::move(session)),
       session_ordinal_(obs::session_ordinal(session_)),
       unit_uids_(session_.empty() ? "unit" : session_ + ".unit"),
-      gate_(std::make_shared<CallbackGate>()) {
-  if (!session_.empty()) {
-    // Session-labelled counters in the shared registry.
-    // entk-lint: allow(global-run-state)
-    auto& metrics = obs::Metrics::instance();
-    session_done_ = &metrics.counter("session." + session_ + ".units_done");
-    session_failed_ =
-        &metrics.counter("session." + session_ + ".units_failed");
-    session_canceled_ =
-        &metrics.counter("session." + session_ + ".units_canceled");
-    session_submitted_ =
-        &metrics.counter("session." + session_ + ".units_submitted");
-    session_retried_ =
-        &metrics.counter("session." + session_ + ".units_retried");
-  }
-}
+      gate_(std::make_shared<CallbackGate>()) {}
 
 UnitManager::~UnitManager() { gate_->close(); }
 
@@ -90,7 +75,6 @@ Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
   obs::Metrics::instance()
       .counter(obs::WellKnownCounter::kUnitsSubmitted)
       .add(units.size());
-  if (session_submitted_ != nullptr) session_submitted_->add(units.size());
   route_pending();
   return units;
 }
@@ -191,7 +175,6 @@ void UnitManager::handle_state_change(ComputeUnit& unit, UnitState state) {
   obs::Metrics::instance()
       .counter(obs::WellKnownCounter::kUnitsRetried)
       .add();
-  if (session_retried_ != nullptr) session_retried_->add();
   ENTK_TRACE_INSTANT_FLOW_S("unit.retry", "unit", unit.trace_flow(), 0,
                             session_ordinal_);
   Duration delay;
@@ -283,7 +266,6 @@ void UnitManager::settle_and_notify(ComputeUnit& unit, UnitState state) {
     default:
       break;
   }
-  bump_session_counter(state);
   const Duration execution = settled->execution_time();
   if (execution > 0.0) {
     metrics.histogram(obs::WellKnownHistogram::kUnitExecutionSeconds)
@@ -298,22 +280,6 @@ void UnitManager::settle_and_notify(ComputeUnit& unit, UnitState state) {
   if (observers == nullptr) return;
   for (const auto& [token, observer] : *observers) {
     observer(settled, state);
-  }
-}
-
-void UnitManager::bump_session_counter(UnitState state) {
-  switch (state) {
-    case UnitState::kDone:
-      if (session_done_ != nullptr) session_done_->add();
-      break;
-    case UnitState::kFailed:
-      if (session_failed_ != nullptr) session_failed_->add();
-      break;
-    case UnitState::kCanceled:
-      if (session_canceled_ != nullptr) session_canceled_->add();
-      break;
-    default:
-      break;
   }
 }
 

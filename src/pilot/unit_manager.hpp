@@ -29,10 +29,6 @@
 #include "pilot/backend.hpp"
 #include "pilot/pilot.hpp"
 
-namespace entk::obs {
-class Counter;
-}  // namespace entk::obs
-
 namespace entk::pilot {
 
 /// Rundown protection for callbacks whose registrant may die first.
@@ -91,9 +87,9 @@ class UnitManager {
  public:
   /// `session` scopes the manager to one named session: unit uids draw
   /// from the "<session>.unit" counter family, submitted descriptions
-  /// are stamped with the session, and settle tallies feed
-  /// per-session metrics. The empty name keeps the legacy process-wide
-  /// "unit" family.
+  /// are stamped with the session, and unit trace events carry its
+  /// ordinal. The empty name keeps the legacy process-wide "unit"
+  /// family.
   explicit UnitManager(ExecutionBackend& backend,
                        std::string session = "");
 
@@ -213,10 +209,6 @@ class UnitManager {
   void schedule_retry_requeue(ComputeUnitPtr retry, Duration delay)
       ENTK_EXCLUDES(mutex_);
 
-  /// Bumps the per-session settle counter for `state` (named sessions
-  /// only; the process-wide well-known counters are always bumped).
-  void bump_session_counter(UnitState state);
-
   ExecutionBackend& backend_;
   const std::string session_;
   const std::uint32_t session_ordinal_;
@@ -227,13 +219,6 @@ class UnitManager {
   /// Shared with every callback this manager registers on pilots,
   /// units and backend timers; closed (and drained) on destruction.
   const std::shared_ptr<CallbackGate> gate_;
-  /// Per-session dynamic metric counters; nullptr for unnamed
-  /// managers. Resolved once — obs::Metrics map nodes are stable.
-  obs::Counter* session_done_ = nullptr;
-  obs::Counter* session_failed_ = nullptr;
-  obs::Counter* session_canceled_ = nullptr;
-  obs::Counter* session_submitted_ = nullptr;
-  obs::Counter* session_retried_ = nullptr;
 
   struct Entry {
     ComputeUnitPtr unit;

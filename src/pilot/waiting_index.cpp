@@ -12,7 +12,6 @@ void WaitingIndex::push(ComputeUnitPtr unit) {
   const ComputeUnit* key = unit.get();
   ENTK_CHECK(bucket_of_.emplace(key, cores).second,
              "unit " + unit->uid() + " is already waiting");
-  ++waiting_by_session_[unit->description().session];
   buckets_[cores].push_back({next_seq_++, std::move(unit)});
   ++size_;
 }
@@ -27,7 +26,6 @@ bool WaitingIndex::erase(const ComputeUnit* unit) {
       std::find_if(bucket.begin(), bucket.end(),
                    [unit](const Picked& p) { return p.unit.get() == unit; });
   ENTK_CHECK(entry != bucket.end(), "waiting index out of sync");
-  note_left(*entry->unit, /*picked=*/false);
   bucket.erase(entry);
   if (bucket.empty()) buckets_.erase(it);
   bucket_of_.erase(where);
@@ -89,7 +87,6 @@ std::vector<ComputeUnitPtr> WaitingIndex::drain() {
             [](const Picked& a, const Picked& b) { return a.seq < b.seq; });
   buckets_.clear();
   bucket_of_.clear();
-  waiting_by_session_.clear();
   size_ = 0;
   std::vector<ComputeUnitPtr> units;
   units.reserve(all.size());
@@ -118,17 +115,7 @@ void WaitingIndex::pop_from(std::map<Count, Bucket>::iterator it,
   bucket.pop_front();
   if (bucket.empty()) buckets_.erase(it);
   bucket_of_.erase(out.unit.get());
-  note_left(*out.unit, /*picked=*/true);
   --size_;
-}
-
-void WaitingIndex::note_left(const ComputeUnit& unit, bool picked) {
-  const std::string& session = unit.description().session;
-  const auto waiting = waiting_by_session_.find(session);
-  ENTK_CHECK(waiting != waiting_by_session_.end(),
-             "waiting index session tally out of sync");
-  if (--waiting->second == 0) waiting_by_session_.erase(waiting);
-  if (picked) ++picks_by_session_[session];
 }
 
 }  // namespace entk::pilot

@@ -23,7 +23,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -78,29 +77,13 @@ class WaitingIndex {
   /// fresh index reproduces the same relative scheduling order.
   std::vector<ComputeUnitPtr> snapshot() const;
 
-  /// Per-session accounting (keyed by UnitDescription::session; "" =
-  /// legacy unnamed). Bookkeeping only — pick order never consults it,
-  /// so adding sessions cannot perturb scheduling decisions.
-  /// Currently-waiting unit count per session; zero entries are erased.
-  const std::map<std::string, std::size_t>& waiting_by_session() const {
-    return waiting_by_session_;
-  }
-  /// Cumulative units handed to the scheduler per session (pop_*
-  /// calls; drain/erase do not count as picks).
-  const std::map<std::string, std::size_t>& picks_by_session() const {
-    return picks_by_session_;
-  }
-
  private:
   using Bucket = std::deque<Picked>;
 
   void pop_from(std::map<Count, Bucket>::iterator it, Picked& out);
-  void note_left(const ComputeUnit& unit, bool picked);
 
   std::map<Count, Bucket> buckets_;  // never holds an empty bucket
   std::unordered_map<const ComputeUnit*, Count> bucket_of_;
-  std::map<std::string, std::size_t> waiting_by_session_;
-  std::map<std::string, std::size_t> picks_by_session_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
 };

@@ -15,11 +15,9 @@ Status JobDescription::validate() const {
     return make_error(Errc::kInvalidArgument,
                       "job '" + name + "': wall_time_limit must be > 0");
   }
-  if (executable.empty() && !payload && simulated_duration <= 0.0) {
-    return make_error(
-        Errc::kInvalidArgument,
-        "job '" + name +
-            "': needs an executable, a payload or a simulated duration");
+  if (executable.empty()) {
+    return make_error(Errc::kInvalidArgument,
+                      "job '" + name + "': needs an executable");
   }
   return Status::ok();
 }

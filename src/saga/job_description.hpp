@@ -2,15 +2,11 @@
 // Submission Description Language (JSDL, GFD.56) that the paper's
 // SAGA layer standardises on.
 //
-// Two execution-backend hooks extend the JSDL core:
-//  - `payload`: an in-process callable the local adaptor runs instead
-//    of fork/exec-ing `executable` (our stand-in for process launch);
-//  - `simulated_duration`: how long the job occupies its cores on the
-//    simulated backend when no owner drives it (container jobs are
-//    instead ended explicitly by their owner).
+// Every job is a container: it holds its cores from start until its
+// owner ends it (JobService::complete/cancel) or its walltime expires.
+// The toolkit submits one per pilot; the pilot's agent runs the units.
 #pragma once
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
@@ -33,15 +29,7 @@ struct JobDescription {
   std::string queue;               ///< Batch queue/partition name.
   std::string project;             ///< Allocation/project to charge.
 
-  // --- execution-backend hooks ---
-  /// In-process work for the local adaptor; may be empty for container
-  /// jobs that are driven externally (e.g. pilot agents).
-  std::function<Status()> payload;
-  /// Sim-backend running time; <= 0 means "runs until completed by its
-  /// owner or by walltime".
-  Duration simulated_duration = 0.0;
-
-  /// Checks field ranges (cores >= 1, walltime > 0, ...).
+  /// Checks field ranges (cores >= 1, walltime > 0, an executable).
   Status validate() const;
 };
 

@@ -4,8 +4,7 @@
 // Description Language (JSDL, OGF GFD.56). This module writes and
 // reads JobDescriptions in a flat `jsdl:Key = value` text form using
 // JSDL's element names — enough to persist, inspect and exchange job
-// descriptions between tools (the in-process payload hook is, by
-// nature, not serialisable and is omitted).
+// descriptions between tools.
 #pragma once
 
 #include <string>

@@ -5,28 +5,12 @@
 #include "common/log.hpp"
 #include "common/uid.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pool_metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace entk::saga {
 
-LocalAdaptor::LocalAdaptor(Count cores, std::size_t workers)
-    : cores_(cores), free_(cores) {
+LocalAdaptor::LocalAdaptor(Count cores) : cores_(cores), free_(cores) {
   ENTK_CHECK(cores >= 1, "local adaptor needs at least one core");
-  if (workers == 0) {
-    workers = std::min<std::size_t>(static_cast<std::size_t>(cores), 16);
-  }
-  pool_ = std::make_unique<WorkStealingPool>(workers, obs::pool_metric_fn());
-}
-
-LocalAdaptor::~LocalAdaptor() {
-  // Drain payloads before members are destroyed: worker lambdas
-  // reference this adaptor — and pool_ itself, when finish() launches
-  // the next waiting job. Shut down BEFORE reset(): unique_ptr::reset
-  // nulls the pointer before running the destructor, so a worker
-  // mid-finish would dereference null.
-  pool_->shutdown();
-  pool_.reset();
 }
 
 Count LocalAdaptor::free_cores() const {
@@ -81,29 +65,8 @@ void LocalAdaptor::launch(std::vector<JobPtr> started) {
   while (!started.empty()) {
     std::vector<JobPtr> restarted;
     for (JobPtr& job : started) {
-      if (job->advance_state(JobState::kRunning).is_ok()) {
-        if (job->description().payload) {
-          // submit_local: finish() on a worker thread launches the
-          // next waiting job from that same thread, keeping the FIFO
-          // hand-off on the hot deque. The pool refuses once shutdown
-          // starts (a payload finishing while the adaptor tears down)
-          // — cancel the job instead of aborting the process.
-          const bool accepted = pool_->submit_local(TaskFn([this, job] {
-            const Status status = job->description().payload();
-            finish(job,
-                   status.is_ok() ? JobState::kDone : JobState::kFailed,
-                   status);
-          }));
-          if (!accepted) {
-            finish(job, JobState::kCanceled,
-                   make_error(Errc::kCancelled,
-                              "local adaptor is shutting down"));
-          }
-        }
-        // Container jobs (no payload) keep their cores until
-        // complete().
-        continue;
-      }
+      // A running job keeps its cores until complete() or cancel().
+      if (job->advance_state(JobState::kRunning).is_ok()) continue;
       // The job reached a final state between reservation and launch
       // (cancel raced with start-up): return its cores, which may let
       // further waiting jobs start.
@@ -122,8 +85,7 @@ void LocalAdaptor::launch(std::vector<JobPtr> started) {
   }
 }
 
-void LocalAdaptor::finish(const JobPtr& job, JobState final_state,
-                          Status failure) {
+void LocalAdaptor::finish(const JobPtr& job, JobState final_state) {
   std::vector<JobPtr> started;
   {
     MutexLock lock(mutex_);
@@ -134,7 +96,7 @@ void LocalAdaptor::finish(const JobPtr& job, JobState final_state,
     ENTK_CHECK(free_ <= cores_, "core accounting out of sync");
     started = try_start_locked();
   }
-  (void)job->advance_state(final_state, std::move(failure));
+  (void)job->advance_state(final_state);
   launch(std::move(started));
 }
 
@@ -145,15 +107,6 @@ Status LocalAdaptor::cancel(Job& job) {
     const auto it = running_.find(&job);
     if (it != running_.end()) {
       handle = it->second;
-      // A running payload cannot be interrupted mid-flight (we never
-      // kill threads); only container jobs are cancellable once
-      // running.
-      if (job.description().payload) {
-        return make_error(Errc::kFailedPrecondition,
-                          "job " + job.uid() +
-                              " is executing a payload and cannot be "
-                              "cancelled mid-run");
-      }
     } else {
       const auto waiting_it = std::find_if(
           waiting_.begin(), waiting_.end(),
@@ -168,7 +121,7 @@ Status LocalAdaptor::cancel(Job& job) {
     }
   }
   if (handle->state() == JobState::kRunning) {
-    finish(handle, JobState::kCanceled, Status::ok());
+    finish(handle, JobState::kCanceled);
     return Status::ok();
   }
   return handle->advance_state(JobState::kCanceled);
@@ -183,14 +136,9 @@ Status LocalAdaptor::complete(Job& job) {
       return make_error(Errc::kNotFound,
                         "job " + job.uid() + " is not running locally");
     }
-    if (job.description().payload) {
-      return make_error(Errc::kFailedPrecondition,
-                        "job " + job.uid() +
-                            " has a payload; it completes by itself");
-    }
     handle = it->second;
   }
-  finish(handle, JobState::kDone, Status::ok());
+  finish(handle, JobState::kDone);
   return Status::ok();
 }
 

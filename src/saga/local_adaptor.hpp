@@ -1,20 +1,18 @@
 // SAGA adaptor for the local host.
 //
-// Jobs start immediately when enough local "cores" (slots) are free,
-// FIFO otherwise — there is no queue-wait model. A job with a payload
-// runs it on the pool and finishes with the payload's status; a
-// container job (no payload) runs until its owner calls complete().
-// This adaptor executes real work in real time and is what examples
-// and integration tests run on.
+// A FIFO core-slot accountant for container jobs (the pilots of the
+// local backend): a job starts immediately when enough local "cores"
+// (slots) are free, FIFO otherwise — there is no queue-wait model —
+// and holds its cores until its owner calls complete() or cancel().
+// The adaptor starts no threads; the pilot's LocalAgent runs the
+// units' payloads on its own pool.
 #pragma once
 
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
-#include "common/work_stealing_pool.hpp"
 #include "saga/job_service.hpp"
 
 namespace entk::saga {
@@ -22,10 +20,8 @@ namespace entk::saga {
 class LocalAdaptor final : public JobService {
  public:
   /// `cores` bounds the summed total_cpu_count of concurrently running
-  /// jobs; `workers` sizes the payload thread pool (defaults to cores,
-  /// capped at 16 actual threads).
-  explicit LocalAdaptor(Count cores, std::size_t workers = 0);
-  ~LocalAdaptor() override;
+  /// jobs.
+  explicit LocalAdaptor(Count cores);
 
   Result<JobPtr> submit(JobDescription description) override
       ENTK_EXCLUDES(mutex_);
@@ -39,10 +35,6 @@ class LocalAdaptor final : public JobService {
   const Clock& clock() const { return clock_; }
 
  private:
-  struct Waiting {
-    JobPtr job;
-  };
-
   /// Reserves cores for as many waiting jobs as fit (FIFO) and moves
   /// them into running_. Returns the reserved jobs WITHOUT advancing
   /// their state: the caller must pass them to launch() after
@@ -50,17 +42,15 @@ class LocalAdaptor final : public JobService {
   /// pilot/unit-manager chain and must never fire under the adaptor
   /// lock (LockRank::kLocalAdaptor orders below the locks they take).
   std::vector<JobPtr> try_start_locked() ENTK_REQUIRES(mutex_);
-  /// Advances reserved jobs to kRunning and hands payloads to the
-  /// pool; returns reservations of jobs that reached a final state in
-  /// the window between reservation and launch (cancel racing with
-  /// start-up).
+  /// Advances reserved jobs to kRunning; releases the cores of jobs
+  /// that reached a final state in the window between reservation and
+  /// launch (cancel racing with start-up).
   void launch(std::vector<JobPtr> started) ENTK_EXCLUDES(mutex_);
-  void finish(const JobPtr& job, JobState final_state, Status failure)
+  void finish(const JobPtr& job, JobState final_state)
       ENTK_EXCLUDES(mutex_);
 
   const Count cores_;
   WallClock clock_;
-  std::unique_ptr<WorkStealingPool> pool_;
 
   mutable Mutex mutex_{LockRank::kLocalAdaptor};
   Count free_ ENTK_GUARDED_BY(mutex_) = 0;

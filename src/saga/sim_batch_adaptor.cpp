@@ -25,21 +25,12 @@ Result<JobPtr> SimBatchAdaptor::submit(JobDescription description) {
   // The weak_ptr keeps the batch callbacks safe if the application
   // drops the job handle before the simulation finishes.
   std::weak_ptr<Job> weak = job;
-  request.on_start = [this, weak](const sim::Allocation& allocation) {
+  request.on_start = [weak](const sim::Allocation& allocation) {
     auto started = weak.lock();
     if (!started) return;
     started->set_allocation(allocation);
     ENTK_CHECK(started->advance_state(JobState::kRunning).is_ok(),
                "batch start on non-pending job");
-    const Duration duration = started->description().simulated_duration;
-    if (duration > 0.0) {
-      // Self-terminating job: ends after its simulated runtime.
-      engine_.schedule(duration, [this, weak] {
-        auto finishing = weak.lock();
-        if (!finishing || finishing->state() != JobState::kRunning) return;
-        (void)complete(*finishing);
-      });
-    }
   };
   request.on_end = [this, weak](sim::BatchJobState final_state) {
     auto ended = weak.lock();

@@ -1,10 +1,10 @@
 // SAGA adaptor for the simulated batch system.
 //
 // Maps JobDescriptions onto sim::BatchQueue requests: the job waits in
-// the (simulated) queue, starts when cores free up, and either runs for
-// its simulated_duration, is completed by its owner, or expires at its
-// walltime. Everything happens on the simulation engine's virtual
-// clock; Job::wait() must not be used here — drive the engine instead.
+// the (simulated) queue, starts when cores free up, and runs until its
+// owner completes or cancels it or its walltime expires. Everything
+// happens on the simulation engine's virtual clock; Job::wait() must
+// not be used here — drive the engine instead.
 #pragma once
 
 #include <unordered_map>

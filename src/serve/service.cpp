@@ -4,9 +4,7 @@
 #include <cmath>
 #include <utility>
 
-#include "common/work_stealing_pool.hpp"
 #include "core/graph_executor.hpp"
-#include "core/parallel_runtime.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/protocol.hpp"
@@ -57,9 +55,8 @@ Service::Service(ServiceConfig config, sim::MachineProfile machine)
       machine_cores_(machine.total_cores()),
       kernel_registry_(kernels::KernelRegistry::with_builtin_kernels()),
       backend_(std::make_unique<pilot::SimBackend>(std::move(machine))) {
-  max_active_ = config_.max_active_sessions != 0
-                    ? config_.max_active_sessions
-                    : std::max<std::size_t>(4, 2 * core::parallel_threads());
+  max_active_ =
+      config_.max_active_sessions != 0 ? config_.max_active_sessions : 4;
   quantum_ = config_.drr_quantum != 0 ? config_.drr_quantum : 8;
   inflight_budget_ = config_.max_inflight_total != 0
                          ? config_.max_inflight_total
@@ -548,20 +545,12 @@ void Service::advance_and_flush() {
     }
   }
   if (executors.empty()) return;
-  WorkStealingPool* pool = core::parallel_pool();
   for (;;) {
     // Phase 1: advance every graph locally (no submissions yet). The
-    // graphs share no state, so a pool fans them out; the predicate
-    // runs between engine steps, so no settlement is mid-flight.
-    if (pool != nullptr && executors.size() > 1) {
-      pool->parallel_for(executors.size(),
-                         [&executors](std::size_t i) {
-                           executors[i]->advance_local();
-                         });
-    } else {
-      for (core::GraphExecutor* executor : executors) {
-        executor->advance_local();
-      }
+    // predicate runs between engine steps, so no settlement is
+    // mid-flight.
+    for (core::GraphExecutor* executor : executors) {
+      executor->advance_local();
     }
 
     // Phase 2: per-tenant backlog (admission order within a tenant)

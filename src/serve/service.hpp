@@ -19,7 +19,7 @@
 //   weighted fair-share deficit round-robin over frontier dispatch:
 //                       every running session's graph executor holds
 //                       dispatch, and the drive predicate advances
-//                       all graphs in parallel (work-stealing pool),
+//                       every graph in turn on the drive thread,
 //                       then flushes ready nodes tenant-by-tenant in
 //                       weight-proportional quanta, bounded by a
 //                       global in-flight budget (the scarce resource
@@ -108,7 +108,7 @@ struct ServiceConfig {
   /// Admission queue bound; a full queue REJECTs further SUBMITs.
   std::size_t queue_capacity = 256;
   /// Max concurrently running sessions across all tenants.
-  /// 0 = derive: max(4, 2 * core::parallel_threads()).
+  /// 0 = derive (4).
   std::size_t max_active_sessions = 0;
   /// Fair-share quantum: frontier nodes credited per tenant per DRR
   /// round, scaled by the tenant weight. 0 = derive (8).

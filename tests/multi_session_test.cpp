@@ -7,8 +7,7 @@
 //
 //  - Determinism: with private pilots and zero global-clock
 //    overheads, a session's trace digest under run_concurrent is
-//    bit-identical to the same-seed solo run (uids AND timestamps),
-//    whatever the size of the work-stealing pool.
+//    bit-identical to the same-seed solo run (uids AND timestamps).
 //  - Failure isolation: one session's fail_fast abort leaves the
 //    other session's run converging untouched.
 //  - Checkpoint/resume: one session is captured and later resumed
@@ -34,7 +33,6 @@
 #include "common/rng.hpp"
 #include "common/uid.hpp"
 #include "core/entk.hpp"
-#include "core/parallel_runtime.hpp"
 #include "scale_test_util.hpp"
 
 namespace entk::core {
@@ -183,57 +181,16 @@ TEST(MultiSession, ConcurrentTracesMatchSoloRunsBitIdentical) {
             solo_beta);
 }
 
-TEST(MultiSession, PooledSpecMaterializationMatchesSoloRunsBitIdentical) {
-  // Same contract as above, with the work-stealing pool producing each
-  // 2000-task frontier's specs in parallel inside the settle-time pump.
-  // Parallelism must change WHEN specs are built on the host, never
-  // WHAT gets scheduled on the simulated clock.
-  const std::uint64_t solo_alpha = solo_digest("alpha");
-  const std::uint64_t solo_beta = solo_digest("beta");
-  ASSERT_NE(solo_alpha, 0u);
-  ASSERT_NE(solo_beta, 0u);
-
-  struct PoolReset {
-    ~PoolReset() { set_parallel_threads(0); }
-  } reset_on_exit;
-  set_parallel_threads(4);
-  reset_uid_counters_for_testing();
-  auto registry = kernels::KernelRegistry::with_builtin_kernels();
-  pilot::SimBackend backend(multi_machine());
-  Runtime runtime(backend, registry);
-  auto alpha = make_session(runtime, "alpha");
-  auto beta = make_session(runtime, "beta");
-  BagOfTasks pattern_a = scale_test::scale_workload(kUnits);
-  BagOfTasks pattern_b = scale_test::scale_workload(kUnits);
-  auto reports = runtime.run_concurrent(
-      {{alpha, &pattern_a}, {beta, &pattern_b}});
-  ASSERT_TRUE(reports.ok()) << reports.status().to_string();
-  ASSERT_EQ(reports.value().size(), 2u);
-  for (const auto& report : reports.value()) {
-    EXPECT_TRUE(report.outcome.is_ok()) << report.outcome.to_string();
-    EXPECT_EQ(report.units.size(), static_cast<std::size_t>(kUnits));
-  }
-  EXPECT_EQ(scale_test::trace_digest(reports.value()[0].units),
-            solo_alpha);
-  EXPECT_EQ(scale_test::trace_digest(reports.value()[1].units),
-            solo_beta);
-}
-
-TEST(MultiSession, EopAndSalSchedulesAreIndependentOfThePoolSize) {
+TEST(MultiSession, EopAndSalSchedulesUnderRunConcurrentMatchTheirSoloRuns) {
   // An EoP and a SAL session under run_concurrent must replay their
-  // solo schedules at every pool size: the pool may change WHERE graph
-  // bookkeeping runs on the host, never WHEN a graph pumps. The EoP
-  // keeps the toolkit's default per-task overhead, which the sim
-  // backend charges to the clock only outside engine dispatch, so a
-  // pump moved from inside the settlement to between engine steps
-  // delays every successor it submits (a bag, which never submits on
-  // settlement, cannot show this). The SAL charges nothing and starts
-  // first, so the EoP's initial-frontier charge lands after both
-  // starts, as it does solo.
-  struct PoolReset {
-    ~PoolReset() { set_parallel_threads(0); }
-  } reset_on_exit;
-  set_parallel_threads(0);
+  // solo schedules: graphs pump inside the settlement that unblocks
+  // them, never between engine steps. The EoP keeps the toolkit's
+  // default per-task overhead, which the sim backend charges to the
+  // clock only outside engine dispatch, so a pump moved from inside
+  // the settlement to between engine steps delays every successor it
+  // submits (a bag, which never submits on settlement, cannot show
+  // this). The SAL charges nothing and starts first, so the EoP's
+  // initial-frontier charge lands after both starts, as it does solo.
   const ResourceOptions sal_options = options_with_cores(kLoopCores);
   ResourceOptions eop_options = options_with_cores(kPipelines);
   eop_options.per_task_overhead = ResourceOptions().per_task_overhead;
@@ -245,31 +202,27 @@ TEST(MultiSession, EopAndSalSchedulesAreIndependentOfThePoolSize) {
   ASSERT_NE(solo_sal, 0u);
   ASSERT_NE(solo_eop, 0u);
 
-  for (const std::size_t threads :
-       {std::size_t{0}, std::size_t{1}, std::size_t{4}, std::size_t{16}}) {
-    set_parallel_threads(threads);
-    reset_uid_counters_for_testing();
-    auto registry = kernels::KernelRegistry::with_builtin_kernels();
-    pilot::SimBackend backend(multi_machine());
-    Runtime runtime(backend, registry);
-    auto sal = make_session(runtime, "sal", sal_options);
-    auto eop = make_session(runtime, "eop", eop_options);
-    const auto sal_pattern = loop_pattern();
-    const auto eop_pattern = pipelines_pattern();
-    auto reports = runtime.run_concurrent(
-        {{sal, sal_pattern.get()}, {eop, eop_pattern.get()}});
-    ASSERT_TRUE(reports.ok()) << reports.status().to_string();
-    ASSERT_EQ(reports.value().size(), 2u);
-    for (const auto& report : reports.value()) {
-      EXPECT_TRUE(report.outcome.is_ok()) << report.outcome.to_string();
-    }
-    EXPECT_EQ(reports.value()[1].units.size(),
-              static_cast<std::size_t>(kPipelines * 4));
-    EXPECT_EQ(scale_test::trace_digest(reports.value()[0].units), solo_sal)
-        << "SAL schedule diverged at " << threads << " pool threads";
-    EXPECT_EQ(scale_test::trace_digest(reports.value()[1].units), solo_eop)
-        << "EoP schedule diverged at " << threads << " pool threads";
+  reset_uid_counters_for_testing();
+  auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  pilot::SimBackend backend(multi_machine());
+  Runtime runtime(backend, registry);
+  auto sal = make_session(runtime, "sal", sal_options);
+  auto eop = make_session(runtime, "eop", eop_options);
+  const auto sal_pattern = loop_pattern();
+  const auto eop_pattern = pipelines_pattern();
+  auto reports = runtime.run_concurrent(
+      {{sal, sal_pattern.get()}, {eop, eop_pattern.get()}});
+  ASSERT_TRUE(reports.ok()) << reports.status().to_string();
+  ASSERT_EQ(reports.value().size(), 2u);
+  for (const auto& report : reports.value()) {
+    EXPECT_TRUE(report.outcome.is_ok()) << report.outcome.to_string();
   }
+  EXPECT_EQ(reports.value()[1].units.size(),
+            static_cast<std::size_t>(kPipelines * 4));
+  EXPECT_EQ(scale_test::trace_digest(reports.value()[0].units), solo_sal)
+      << "SAL schedule diverged from its solo run";
+  EXPECT_EQ(scale_test::trace_digest(reports.value()[1].units), solo_eop)
+      << "EoP schedule diverged from its solo run";
 }
 
 TEST(MultiSession, FailFastAbortLeavesTheOtherSessionConverging) {

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <string>
 #include <thread>
 
 #include "core/entk.hpp"
@@ -79,6 +80,27 @@ TEST(Stager, SimDelayModel) {
                   500.0 / machine.staging_bandwidth_mb_per_s,
               1e-12);
   EXPECT_DOUBLE_EQ(staging_delay(machine, {}), 0.0);
+}
+
+/// The calling process's thread count, from the `Threads:` line of
+/// /proc/self/status; -1 when the line is missing.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(LocalBackend, ConstructionStartsNoThread) {
+  // The backend's saga adaptor only accounts core slots for pilot
+  // containers; threads appear with a pilot's LocalAgent, which runs
+  // the unit payloads.
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  LocalBackend backend(8);
+  EXPECT_EQ(process_threads(), before);
 }
 
 class LocalBackendTest : public ::testing::Test {

@@ -1,11 +1,11 @@
-// Tests of the SAGA layer: job model, local adaptor (real execution)
-// and the simulated-batch adaptor.
+// Tests of the SAGA layer: job model, local adaptor (core-slot
+// accounting for container jobs) and the simulated-batch adaptor.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <memory>
-#include <thread>
+#include <string>
+#include <vector>
 
 #include "saga/job.hpp"
 #include "saga/local_adaptor.hpp"
@@ -79,102 +79,39 @@ TEST(JobDescriptionValidate, CatchesBadFields) {
 
 // ----------------------------------------------------------- local adaptor
 
-TEST(LocalAdaptor, RunsPayloadAndCompletes) {
-  LocalAdaptor adaptor(4);
-  std::atomic<bool> ran{false};
-  JobDescription description;
-  description.name = "payload-job";
-  description.payload = [&]() -> Status {
-    ran = true;
-    return Status::ok();
-  };
-  auto job = adaptor.submit(std::move(description));
-  ASSERT_TRUE(job.ok());
-  ASSERT_TRUE(job.value()->wait(10.0).is_ok());
-  EXPECT_EQ(job.value()->state(), JobState::kDone);
-  EXPECT_TRUE(ran.load());
-}
-
-TEST(LocalAdaptor, PayloadFailurePropagates) {
-  LocalAdaptor adaptor(2);
-  JobDescription description;
-  description.payload = []() -> Status {
-    return make_error(Errc::kExecutionFailed, "bad exit");
-  };
-  auto job = adaptor.submit(std::move(description));
-  ASSERT_TRUE(job.ok());
-  ASSERT_TRUE(job.value()->wait(10.0).is_ok());
-  EXPECT_EQ(job.value()->state(), JobState::kFailed);
-  EXPECT_EQ(job.value()->final_status().code(), Errc::kExecutionFailed);
-}
-
 TEST(LocalAdaptor, EnforcesCoreBudgetFifo) {
+  // Six one-core containers on two cores: two start, the rest queue in
+  // submission order, and each completion starts exactly the next one.
   LocalAdaptor adaptor(2);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  auto make_description = [&] {
-    JobDescription description;
-    description.payload = [&]() -> Status {
-      const int now = concurrent.fetch_add(1) + 1;
-      int expected = peak.load();
-      while (now > expected &&
-             !peak.compare_exchange_weak(expected, now)) {
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      concurrent.fetch_sub(1);
-      return Status::ok();
-    };
-    return description;
-  };
   std::vector<JobPtr> jobs;
   for (int i = 0; i < 6; ++i) {
-    auto job = adaptor.submit(make_description());
+    JobDescription description;
+    description.name = "container-" + std::to_string(i);
+    description.executable = "entk-agent";
+    auto job = adaptor.submit(std::move(description));
     ASSERT_TRUE(job.ok());
     jobs.push_back(job.take());
   }
-  for (const auto& job : jobs) {
-    ASSERT_TRUE(job->wait(10.0).is_ok());
-    EXPECT_EQ(job->state(), JobState::kDone);
-  }
-  EXPECT_LE(peak.load(), 2);
-}
-
-TEST(LocalAdaptor, TeardownWhileAJobFinishesCancelsTheFollower) {
-  // Regression for the shutdown footgun: a payload finishing while
-  // the adaptor tears down calls finish() from its worker thread,
-  // which reserves the next waiting job and hands its payload to a
-  // pool that is already stopping. The refused submission must cancel
-  // that job cleanly — the old ThreadPool::submit path aborted the
-  // whole process on this race.
-  std::atomic<bool> entered{false};
-  std::atomic<bool> release{false};
-  auto adaptor = std::make_unique<LocalAdaptor>(1);
-  JobDescription first;
-  first.payload = [&entered, &release]() -> Status {
-    entered.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
+  auto running = [&jobs] {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      if (jobs[i]->state() == JobState::kRunning) indices.push_back(i);
     }
-    return Status::ok();
+    return indices;
   };
-  JobDescription second;
-  second.payload = []() -> Status { return Status::ok(); };
-  auto blocked = adaptor->submit(std::move(first));
-  ASSERT_TRUE(blocked.ok());
-  auto follower = adaptor->submit(std::move(second));  // queues: 1 core
-  ASSERT_TRUE(follower.ok());
-  while (!entered.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
+  EXPECT_EQ(running(), (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(adaptor.free_cores(), 0);
+  for (std::size_t finished = 0; finished < jobs.size(); ++finished) {
+    ASSERT_TRUE(adaptor.complete(*jobs[finished]).is_ok());
+    EXPECT_EQ(jobs[finished]->state(), JobState::kDone);
+    std::vector<std::size_t> expected;
+    for (std::size_t i = finished + 1;
+         i < std::min(finished + 3, jobs.size()); ++i) {
+      expected.push_back(i);
+    }
+    EXPECT_EQ(running(), expected) << "after completing job " << finished;
   }
-  // Tear down while the first payload is mid-flight; the destructor
-  // blocks joining the worker, so finish() runs with the pool already
-  // stopping.
-  std::thread closer([&adaptor] { adaptor.reset(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  release.store(true, std::memory_order_release);
-  closer.join();
-  EXPECT_EQ(blocked.value()->state(), JobState::kDone);
-  EXPECT_EQ(follower.value()->state(), JobState::kCanceled);
+  EXPECT_EQ(adaptor.free_cores(), 2);
 }
 
 TEST(LocalAdaptor, ContainerJobRunsUntilCompleted) {
@@ -246,28 +183,11 @@ class SimAdaptorTest : public ::testing::Test {
   SimBatchAdaptor adaptor_;
 };
 
-TEST_F(SimAdaptorTest, SelfTerminatingJobRunsForItsDuration) {
-  JobDescription description;
-  description.executable = "solver";
-  description.total_cpu_count = 4;
-  description.wall_time_limit = 1000.0;
-  description.simulated_duration = 42.0;
-  auto job = adaptor_.submit(std::move(description));
-  ASSERT_TRUE(job.ok());
-  EXPECT_EQ(job.value()->state(), JobState::kPending);
-  engine_.run();
-  EXPECT_EQ(job.value()->state(), JobState::kDone);
-  EXPECT_NEAR(job.value()->finished_at() - job.value()->started_at(), 42.0,
-              1e-9);
-  EXPECT_EQ(cluster_.free_cores(), cluster_.total_cores());
-}
-
 TEST_F(SimAdaptorTest, AllocationVisibleWhileRunning) {
   JobDescription description;
   description.executable = "solver";
   description.total_cpu_count = 8;
   description.wall_time_limit = 1000.0;
-  description.simulated_duration = 10.0;
   auto job = adaptor_.submit(std::move(description));
   ASSERT_TRUE(job.ok());
   engine_.run_until(1.0);
@@ -275,16 +195,18 @@ TEST_F(SimAdaptorTest, AllocationVisibleWhileRunning) {
   const auto allocation = job.value()->allocation();
   ASSERT_TRUE(allocation.has_value());
   EXPECT_EQ(allocation->total_cores(), 8);
+  ASSERT_TRUE(adaptor_.complete(*job.value()).is_ok());
   engine_.run();
+  EXPECT_EQ(job.value()->state(), JobState::kDone);
   EXPECT_FALSE(job.value()->allocation().has_value());
+  EXPECT_EQ(cluster_.free_cores(), cluster_.total_cores());
 }
 
 TEST_F(SimAdaptorTest, WalltimeExpiryFailsTheJob) {
   JobDescription description;
   description.executable = "solver";
   description.total_cpu_count = 1;
-  description.wall_time_limit = 5.0;
-  description.simulated_duration = 0.0;  // owner-driven, never completed
+  description.wall_time_limit = 5.0;  // owner never completes it
   auto job = adaptor_.submit(std::move(description));
   ASSERT_TRUE(job.ok());
   engine_.run();

@@ -20,7 +20,6 @@
 
 #include "common/uid.hpp"
 #include "core/entk.hpp"
-#include "core/parallel_runtime.hpp"
 #include "scale_test_util.hpp"
 
 namespace entk::core {
@@ -68,24 +67,6 @@ TEST(ScaleDeterminism, LargestFirstTraceIsStableAcrossRuns) {
   const std::uint64_t first = run_once("largest_first");
   const std::uint64_t second = run_once("largest_first");
   EXPECT_EQ(first, second);
-}
-
-TEST(ScaleDeterminism, ParallelSpecMaterializationIsBitIdenticalToSerial) {
-  // The work-stealing pool parallelizes frontier SPEC PRODUCTION in
-  // GraphExecutor (each spec lands at its node's index) while the
-  // SUBMIT stays serial in node-id order — so the schedule, and with
-  // it the golden digest, must be bit-identical at every thread
-  // count. Any divergence means parallelization leaked into ordering.
-  constexpr std::uint64_t kGolden = 0x26C511C7D6394E68ULL;
-  struct PoolReset {
-    ~PoolReset() { set_parallel_threads(0); }
-  } reset_on_exit;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
-                                    std::size_t{16}}) {
-    set_parallel_threads(threads);
-    EXPECT_EQ(run_once("backfill"), kGolden)
-        << "digest diverged at " << threads << " pool threads";
-  }
 }
 
 }  // namespace

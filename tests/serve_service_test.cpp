@@ -15,6 +15,7 @@
 #include "common/lock_rank.hpp"
 #include "common/mutex.hpp"
 #include "core/workload_file.hpp"
+#include "obs/metrics.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
 
@@ -367,6 +368,27 @@ TEST(ServeService, NonNumericKernelArgumentFailsOnlyItsWorkload) {
   ASSERT_TRUE(done.ok());
   EXPECT_EQ(done.value().state, WorkloadState::kDone);
   EXPECT_EQ(done.value().units_done, 4u);
+}
+
+TEST(ServeService, ServingWorkloadsDoesNotGrowTheMetricsRegistry) {
+  // Each workload runs as a fresh session "serve.<tenant>.<id>"; a
+  // long-running daemon must not leave registry names behind per
+  // workload. The first batch registers everything a workload touches,
+  // so an equal second batch must add nothing.
+  Driven driven(ServiceConfig{});
+  auto serve_batch = [&driven] {
+    for (const char* tenant : {"alice", "bob", "alice", "bob"}) {
+      auto id = driven.service->submit(tenant, bag_spec(4));
+      ASSERT_TRUE(id.ok()) << id.status().to_string();
+    }
+    driven.service->drain();
+  };
+  serve_batch();
+  const obs::Metrics& metrics = obs::Metrics::instance();
+  const std::size_t after_first = metrics.names().size();
+  serve_batch();
+  EXPECT_EQ(driven.service->stats().completed, 8u);
+  EXPECT_EQ(metrics.names().size(), after_first);
 }
 
 // ---------------------------------------------------------------------

@@ -100,7 +100,7 @@ int list_serve() {
   config.add_row({"queue_capacity",
                   std::to_string(defaults.queue_capacity),
                   "admission bound; beyond it SUBMITs are REJECTED"});
-  config.add_row({"max_active_sessions", "2 x pool threads (min 4)",
+  config.add_row({"max_active_sessions", "4",
                   "concurrent sessions across all tenants"});
   config.add_row({"drr_quantum", "8",
                   "frontier nodes credited per tenant per round"});

@@ -2,7 +2,6 @@
 //
 //   entk-serve [--socket path.sock] [--port N] [--machine name]
 //              [--queue-capacity N] [--max-active N] [--quantum N]
-//              [--runtime-threads N]
 //              [--tenant name=weight[:max_sessions[:max_inflight]]]...
 //
 // Binds a Unix-domain socket and/or a loopback TCP port (default:
@@ -25,7 +24,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/parallel_runtime.hpp"
 #include "serve/listener.hpp"
 #include "serve/service.hpp"
 
@@ -39,12 +37,9 @@ void print_usage() {
          "  --port <n>             bind loopback TCP port n (0 = pick)\n"
          "  --machine <name>       simulated machine (default localhost)\n"
          "  --queue-capacity <n>   admission queue bound (default 256)\n"
-         "  --max-active <n>       max concurrent sessions (default\n"
-         "                         max(4, 2*runtime-threads))\n"
+         "  --max-active <n>       max concurrent sessions (default 4)\n"
          "  --quantum <n>          fair-share quantum in frontier nodes\n"
          "                         (default 8)\n"
-         "  --runtime-threads <n>  work-stealing pool size (default 0 =\n"
-         "                         serial)\n"
          "  --tenant <spec>        name=weight[:max_sessions[:max_inflight]]\n"
          "                         (repeatable)\n"
          "  --help                 this text\n";
@@ -108,7 +103,6 @@ bool parse_tenant_spec(const std::string& spec, std::string& name,
 int main(int argc, char** argv) {
   entk::serve::ServiceConfig config;
   entk::serve::Listener::Options listen;
-  std::size_t runtime_threads = 0;
   std::vector<std::pair<std::string, entk::serve::TenantConfig>> tenants;
 
   for (int i = 1; i < argc; ++i) {
@@ -149,11 +143,6 @@ int main(int argc, char** argv) {
         std::cerr << "entk-serve: bad --quantum\n";
         return 1;
       }
-    } else if (arg == "--runtime-threads") {
-      if (!parse_size(next("--runtime-threads"), runtime_threads)) {
-        std::cerr << "entk-serve: bad --runtime-threads\n";
-        return 1;
-      }
     } else if (arg == "--tenant") {
       std::string name;
       entk::serve::TenantConfig tenant;
@@ -171,10 +160,6 @@ int main(int argc, char** argv) {
   }
   if (listen.unix_path.empty() && listen.tcp_port < 0) {
     listen.unix_path = "entk-serve.sock";
-  }
-
-  if (runtime_threads > 0) {
-    entk::core::set_parallel_threads(runtime_threads);
   }
 
   auto service = entk::serve::Service::create(config);
