@@ -94,11 +94,11 @@ void BM_ForceFieldCompute(benchmark::State& state) {
 }
 BENCHMARK(BM_ForceFieldCompute)->Arg(512)->Arg(2881);
 
-// ---- task-callable construction: the pools' enqueue hot path ------
+// ---- task-callable construction: the engine's schedule hot path ---
 //
-// The pools wrap every submission in a callable; the capture below
-// (two pointers + a counter) is the typical size of a pool task
-// (LocalAgent: this + a shared_ptr). TaskFn stores it inline —
+// sim::Engine wraps every scheduled event in a callable; the capture
+// below (two pointers + a counter) is the typical size of an agent's
+// lifecycle closure. TaskFn stores it inline —
 // counted allocations must be ZERO — while std::function's copyable
 // erasure generally heap-allocates. The counter instruments global
 // operator new, so the two benchmarks report allocations per

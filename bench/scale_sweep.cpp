@@ -47,8 +47,6 @@
 #include "common/atomic_file.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
-#include "common/task_fn.hpp"
-#include "common/work_stealing_pool.hpp"
 #include "legacy_engine.hpp"
 #include "multi_session_probe.hpp"
 #include "obs/chrome_trace.hpp"
@@ -558,16 +556,15 @@ CheckpointProbe run_checkpoint_probe(std::size_t n_units) {
 }
 
 // ---------------------------------------------------------------------
-// Part 4: work-stealing parallel runtime (common/work_stealing_pool).
+// Part 4: real-mode concurrency (LocalAgent's worker threads).
 // ---------------------------------------------------------------------
 
 struct ParallelPoint {
+  /// Pilot cores; the agent runs min(cores, 16) worker threads.
   std::size_t threads = 0;
   double wall_seconds = 0.0;
   double speedup = 1.0;  ///< wall(first point) / wall(this point).
-  std::uint64_t executed = 0;
-  std::uint64_t stolen = 0;
-  std::uint64_t parks = 0;
+  std::uint64_t executed = 0;  ///< Units that ended DONE.
 };
 
 struct ParallelRuntimeProbe {
@@ -583,43 +580,53 @@ struct ParallelRuntimeProbe {
   }
 };
 
-/// Sweeps WorkStealingPool sizes over a fixed batch of BLOCKING
-/// kernels. Real-mode payloads (LocalAgent units, saga jobs) spend
-/// their time blocked in I/O or subprocess waits, not spinning, so
-/// each kernel sleeps: the pool's job is to keep `threads` of them
-/// in flight at once, and the wall-clock ratio against the one-thread
-/// run is the concurrency actually delivered. (Blocking kernels also
-/// make the measurement meaningful on single-core CI runners, where a
-/// cpu-bound sweep could never beat 1x.) One external seed task
-/// spawns the whole batch as submit_local continuations, so it piles
-/// onto the seed worker's deque: every other worker finds its own
-/// deque and the inject queue empty and can only get work by
-/// stealing, which main() gates (stolen > 0 at 4+ threads).
+/// Runs a BagOfTasks of BLOCKING `misc.sleep` units through a
+/// LocalBackend pilot of each size in `core_counts`, timed around
+/// run(). Real-mode payloads spend their time blocked in I/O or
+/// subprocess waits, not spinning, so each one sleeps: the agent's
+/// job is to keep one payload per core in flight, and the wall-clock
+/// ratio against the one-core run is the concurrency it delivered.
+/// (Blocking payloads also make the measurement meaningful on
+/// single-core CI runners, where a cpu-bound sweep could never beat
+/// 1x.) main() checks that every unit ended DONE.
 ParallelRuntimeProbe run_parallel_probe(
     std::size_t n_tasks, double block_ms,
-    const std::vector<std::size_t>& thread_counts) {
+    const std::vector<std::size_t>& core_counts) {
   ParallelRuntimeProbe probe;
   probe.n_tasks = n_tasks;
   probe.task_block_ms = block_ms;
-  const auto block = std::chrono::microseconds(
-      static_cast<std::int64_t>(block_ms * 1000.0));
-  for (const std::size_t threads : thread_counts) {
-    WorkStealingPool pool(threads);
+  const auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  const core::StageFn sleep_spec = [block_ms](const core::StageContext&) {
+    core::TaskSpec spec;
+    spec.kernel = "misc.sleep";
+    spec.args.set("duration", block_ms / 1000.0);
+    return spec;
+  };
+  for (const std::size_t cores : core_counts) {
+    pilot::LocalBackend backend(static_cast<Count>(cores));
+    core::ResourceOptions options;
+    options.cores = static_cast<Count>(cores);
+    core::ResourceHandle handle(backend, registry, options);
+    if (Status status = handle.allocate(); !status.is_ok()) {
+      std::cerr << "BENCH FAILURE (parallel runtime/allocate): "
+                << status.to_string() << "\n";
+      std::exit(1);
+    }
+    core::BagOfTasks bag(static_cast<Count>(n_tasks), sleep_spec);
     const auto start = std::chrono::steady_clock::now();
-    pool.submit_external(TaskFn([&pool, n_tasks, block] {
-      for (std::size_t i = 0; i < n_tasks; ++i) {
-        (void)pool.submit_local(
-            TaskFn([block] { std::this_thread::sleep_for(block); }));
-      }
-    }));
-    pool.wait_idle();
+    auto report = handle.run(bag);
     ParallelPoint point;
-    point.threads = threads;
+    point.threads = cores;
     point.wall_seconds = wall_seconds_since(start);
-    const WorkStealingPool::Stats stats = pool.stats();
-    point.executed = stats.executed;
-    point.stolen = stats.stolen;
-    point.parks = stats.parks;
+    if (!report.ok()) {
+      std::cerr << "BENCH FAILURE (parallel runtime/run): "
+                << report.status().to_string() << "\n";
+      std::exit(1);
+    }
+    for (const auto& unit : report.value().units) {
+      if (unit->state() == pilot::UnitState::kDone) ++point.executed;
+    }
+    (void)handle.deallocate();
     point.speedup = probe.points.empty()
                         ? 1.0
                         : probe.points.front().wall_seconds /
@@ -741,9 +748,8 @@ void write_json(const std::string& path, const std::string& mode,
     out << "      {\"threads\": " << p.threads
         << ", \"wall_seconds\": " << json_number(p.wall_seconds)
         << ", \"speedup\": " << json_number(p.speedup)
-        << ", \"executed\": " << p.executed
-        << ", \"stolen\": " << p.stolen << ", \"parks\": " << p.parks
-        << "}" << (i + 1 < parallel_probe.points.size() ? "," : "")
+        << ", \"executed\": " << p.executed << "}"
+        << (i + 1 < parallel_probe.points.size() ? "," : "")
         << "\n";
   }
   out << "    ],\n";
@@ -908,21 +914,20 @@ int main(int argc, char** argv) {
            : bench::run_multi_session_probe(512, 1000);
   bench::print_multi_session_table(multi_probe);
 
-  // Part 4: work-stealing pool thread sweep over blocking kernels.
+  // Part 4: a bag of blocking sleeps through LocalBackend pilots of
+  // 1/4/16 cores.
   const ParallelRuntimeProbe parallel_probe =
       run_parallel_probe(full ? 480 : 240, 4.0, thread_counts);
-  Table parallel_table({"threads", "wall [s]", "speedup", "executed",
-                        "stolen", "parks"});
+  Table parallel_table({"cores", "wall [s]", "speedup", "done"});
   for (const ParallelPoint& p : parallel_probe.points) {
     parallel_table.add_row(
         {std::to_string(p.threads), format_double(p.wall_seconds, 3),
-         format_double(p.speedup, 2) + "x", std::to_string(p.executed),
-         std::to_string(p.stolen), std::to_string(p.parks)});
+         format_double(p.speedup, 2) + "x", std::to_string(p.executed)});
   }
   std::cout << "\nparallel runtime (" << parallel_probe.n_tasks
-            << " blocking kernels, "
+            << " blocking misc.sleep units, "
             << format_double(parallel_probe.task_block_ms, 1)
-            << " ms each):\n"
+            << " ms each, local backend):\n"
             << parallel_table.to_string();
 
   // Part 5: the entk-serve submission storm. 8 tenants of equal
@@ -981,35 +986,33 @@ int main(int argc, char** argv) {
               << " above the 3.0 ceiling\n";
     return 1;
   }
-  // Parallel-runtime floors: blocking kernels make the delivered
+  // Parallel-runtime floors: blocking payloads make the delivered
   // concurrency a deterministic wall-clock ratio, so the full gate
-  // sits close to the ideal 16x; smoke gates the cheaper 4-thread
+  // sits close to the ideal 16x; smoke gates the cheaper 4-core
   // point so one-core CI runners finish in seconds. A custom
   // --threads list that omits the gated point skips its floor
   // (speedup_at returns 0 for absent points).
+  for (const ParallelPoint& p : parallel_probe.points) {
+    if (p.executed != parallel_probe.n_tasks) {
+      std::cerr << "BENCH FAILURE: parallel runtime finished "
+                << p.executed << " of " << parallel_probe.n_tasks
+                << " units DONE at " << p.threads << " cores\n";
+      return 1;
+    }
+  }
   if (full && parallel_probe.speedup_at(16) > 0.0 &&
       parallel_probe.speedup_at(16) < 10.0) {
-    std::cerr << "BENCH FAILURE: parallel runtime speedup at 16 threads "
+    std::cerr << "BENCH FAILURE: parallel runtime speedup at 16 cores "
               << format_double(parallel_probe.speedup_at(16), 2)
               << "x below the 10x floor\n";
     return 1;
   }
   if (!full && parallel_probe.speedup_at(4) > 0.0 &&
       parallel_probe.speedup_at(4) < 2.0) {
-    std::cerr << "BENCH FAILURE: parallel runtime speedup at 4 threads "
+    std::cerr << "BENCH FAILURE: parallel runtime speedup at 4 cores "
               << format_double(parallel_probe.speedup_at(4), 2)
               << "x below the 2x floor\n";
     return 1;
-  }
-  // The batch piles onto one deque, so at 4+ workers the others can
-  // only get work by stealing: zero steals means the steal path went
-  // unexercised, and the speedup above was not the pool's doing.
-  for (const ParallelPoint& p : parallel_probe.points) {
-    if (p.threads >= 4 && p.stolen == 0) {
-      std::cerr << "BENCH FAILURE: parallel runtime stole no task at "
-                << p.threads << " threads\n";
-      return 1;
-    }
   }
   // Serve gates: admission must not shed from a queue sized for the
   // storm, every workload must complete, equal weights must dispatch

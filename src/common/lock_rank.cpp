@@ -35,10 +35,6 @@ const char* lock_rank_name(LockRank rank) {
       return "kSagaJob";
     case LockRank::kComputeUnit:
       return "kComputeUnit";
-    case LockRank::kWorkStealingPool:
-      return "kWorkStealingPool";
-    case LockRank::kWorkStealingQueue:
-      return "kWorkStealingQueue";
     case LockRank::kUidRegistry:
       return "kUidRegistry";
     case LockRank::kMetricsRegistry:

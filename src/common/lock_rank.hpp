@@ -43,8 +43,6 @@ enum class LockRank : int {
   kBackendTimers = 60,    ///< pilot::LocalBackend::timers_mutex_
   kSagaJob = 65,          ///< saga::Job::mutex_
   kComputeUnit = 70,      ///< pilot::ComputeUnit::mutex_
-  kWorkStealingPool = 76,   ///< WorkStealingPool::state_mutex_ (park/join)
-  kWorkStealingQueue = 78,  ///< WorkStealingPool per-worker deques + inject
   kUidRegistry = 85,      ///< uid.cpp source registry
   kMetricsRegistry = 90,  ///< obs::Metrics::names_mutex_
   kSessionRegistry = 91,  ///< obs trace session-name interning

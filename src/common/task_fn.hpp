@@ -1,14 +1,15 @@
-// Small-buffer-optimized move-only callable for task queues.
+// Small-buffer-optimized move-only callable: sim::Engine's event slot.
 //
 // std::function<void()> heap-allocates any capture larger than its
 // (implementation-defined, typically two-pointer) inline buffer, and
-// requires copyability — so every task submitted to a pool paid an
-// allocation plus a copyable-wrapper tax. TaskFn is the task slot
-// WorkStealingPool runs: 48 bytes of inline storage (a pool task
-// captures a couple of shared_ptrs and a this pointer; see
+// requires copyability — so every scheduled event would pay an
+// allocation plus a copyable-wrapper tax. TaskFn has 48 bytes of
+// inline storage (SimAgent's lifecycle closures capture a this
+// pointer, a unit's shared_ptr and an epoch; see
 // bench/micro_components.cpp for the measured allocation-count drop),
-// move-only so tasks can own unique_ptrs, and a two-pointer vtable
-// (invoke/move-destroy) instead of RTTI.
+// is move-only so callables can own unique_ptrs, and dispatches
+// through a static table of invoke/move/destroy pointers instead of
+// RTTI.
 #pragma once
 
 #include <cstddef>

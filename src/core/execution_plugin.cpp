@@ -115,11 +115,6 @@ Duration ExecutionPlugin::pattern_overhead() const {
   return pattern_overhead_;
 }
 
-std::size_t ExecutionPlugin::tasks_submitted() const {
-  MutexLock lock(mutex_);
-  return all_units_.size();
-}
-
 std::vector<pilot::ComputeUnitPtr> ExecutionPlugin::all_units() const {
   MutexLock lock(mutex_);
   return all_units_;

@@ -47,7 +47,6 @@ class ExecutionPlugin final : public PatternExecutor {
 
   /// Accumulated pattern overhead (task creation + submission time).
   Duration pattern_overhead() const ENTK_EXCLUDES(mutex_);
-  std::size_t tasks_submitted() const ENTK_EXCLUDES(mutex_);
   /// Every unit this plugin has submitted, in submission order.
   std::vector<pilot::ComputeUnitPtr> all_units() const ENTK_EXCLUDES(mutex_);
 

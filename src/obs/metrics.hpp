@@ -40,9 +40,6 @@
   X(kStagingDirectives, "staging.directives")                          \
   X(kCheckpointsWritten, "ckpt.snapshots_written")                     \
   X(kCheckpointRestores, "ckpt.restores")                              \
-  X(kPoolTasksExecuted, "pool.tasks_executed")                         \
-  X(kPoolTasksStolen, "pool.tasks_stolen")                             \
-  X(kPoolParks, "pool.parks")                                          \
   X(kServeSubmitted, "serve.submitted")                                \
   X(kServeAccepted, "serve.accepted")                                  \
   X(kServeRejected, "serve.rejected")                                  \

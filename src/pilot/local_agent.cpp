@@ -4,7 +4,6 @@
 
 #include "common/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/pool_metrics.hpp"
 #include "obs/trace.hpp"
 #include "pilot/stager.hpp"
 
@@ -27,16 +26,29 @@ LocalAgent::LocalAgent(sim::MachineProfile machine, Count cores,
   shared_dir_ = session_dir_ / "shared";
   const std::size_t workers =
       std::min<std::size_t>(static_cast<std::size_t>(cores_), 16);
-  pool_ = std::make_unique<WorkStealingPool>(workers, obs::pool_metric_fn());
+  workers_.reserve(workers);
+  try {
+    for (std::size_t i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (...) {
+    stop_workers();  // join the workers that did start
+    throw;
+  }
 }
 
-LocalAgent::~LocalAgent() {
-  // Workers reference this object — and pool_ itself, when a settling
-  // unit re-enters schedule_locked. Shut down BEFORE reset():
-  // unique_ptr::reset nulls the pointer before running the
-  // destructor, so a worker mid-settlement would dereference null.
-  pool_->shutdown();
-  pool_.reset();
+LocalAgent::~LocalAgent() { stop_workers(); }
+
+void LocalAgent::stop_workers() {
+  // From here schedule_locked() launches nothing, so a unit settling
+  // during teardown leaves its follow-on in the backlog, and the
+  // workers exit once the launched deque is empty.
+  {
+    MutexLock lock(mutex_);
+    stopping_ = true;
+  }
+  launched_cv_.notify_all();
+  for (std::thread& worker : workers_) worker.join();
 }
 
 void LocalAgent::start(std::function<void()> on_ready) {
@@ -151,13 +163,8 @@ Duration LocalAgent::total_spawn_overhead() const {
   return spawn_total_;
 }
 
-void LocalAgent::wait_idle() {
-  MutexLock lock(mutex_);
-  while (!waiting_.empty() || running_ != 0) idle_cv_.wait(mutex_);
-}
-
 void LocalAgent::schedule_locked() {
-  if (waiting_.empty() || free_ <= 0) return;
+  if (stopping_ || waiting_.empty() || free_ <= 0) return;
   if (waiting_.min_cores() > free_) return;  // nothing can fit
   ENTK_TRACE_SPAN("agent.schedule", "agent");
   // Aggregate metrics by design. entk-lint: allow(global-run-state)
@@ -181,21 +188,22 @@ void LocalAgent::schedule_locked() {
     ENTK_TRACE_INSTANT_FLOW_S("unit.launched", "agent",
                               unit->trace_flow(), trace_ordinal_,
                               unit->session_ordinal());
-    ComputeUnitPtr launched = std::move(unit);
-    // submit_local: a worker finishing a unit re-schedules from its
-    // own thread, so the follow-on unit lands on that worker's deque
-    // and runs hot; driver-thread submissions fall back to the
-    // external queue. The pool refuses once shutdown starts (teardown
-    // racing a late settlement) — undo the reservation and requeue so
-    // the unit stays cancellable instead of vanishing.
-    const bool accepted = pool_->submit_local(
-        TaskFn([this, launched] { execute(launched); }));
-    if (!accepted) {
-      free_ += launched->description().cores;
-      --running_;
-      spawn_total_ -= machine_.unit_spawn_overhead;
-      waiting_.push(std::move(launched));
+    launched_.push_back(std::move(unit));
+    launched_cv_.notify_one();
+  }
+}
+
+void LocalAgent::worker_loop() {
+  for (;;) {
+    ComputeUnitPtr unit;
+    {
+      MutexLock lock(mutex_);
+      while (launched_.empty() && !stopping_) launched_cv_.wait(mutex_);
+      if (launched_.empty()) return;  // stopping, and drained
+      unit = std::move(launched_.front());
+      launched_.pop_front();
     }
+    execute(std::move(unit));
   }
 }
 
@@ -247,8 +255,8 @@ void LocalAgent::execute(ComputeUnitPtr unit) {
     status = execute_staging(desc.output_staging, sandbox, shared_dir_);
   }
 
-  // Finalize the unit before releasing cores: by the time wait_idle()
-  // observes the agent idle, every unit must be in a final state.
+  // Finalize the unit before releasing cores: by the time
+  // running_units() reads 0, every launched unit is in a final state.
   if (status.is_ok()) {
     (void)unit->advance_state(UnitState::kDone);
   } else {
@@ -260,7 +268,6 @@ void LocalAgent::execute(ComputeUnitPtr unit) {
     ENTK_CHECK(free_ <= cores_, "core accounting out of sync");
     --running_;
     schedule_locked();
-    if (waiting_.empty() && running_ == 0) idle_cv_.notify_all();
   }
 }
 

@@ -144,24 +144,6 @@ Result<PilotPtr> PilotManager::resubmit_like(
   return submit_pilot(finished.description(), scheduler_policy);
 }
 
-std::vector<PilotPtr> PilotManager::pilots_for_session(
-    const std::string& session) const {
-  std::vector<PilotPtr> owned;
-  for (const PilotPtr& pilot : pilots_) {
-    if (pilot->description().session == session) owned.push_back(pilot);
-  }
-  return owned;
-}
-
-std::size_t PilotManager::pilot_count_for_session(
-    const std::string& session) const {
-  std::size_t count = 0;
-  for (const PilotPtr& pilot : pilots_) {
-    if (pilot->description().session == session) ++count;
-  }
-  return count;
-}
-
 Status PilotManager::cancel(const PilotPtr& pilot) {
   const PilotState state = pilot->state();
   if (is_final(state)) {

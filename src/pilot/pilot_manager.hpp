@@ -42,16 +42,6 @@ class PilotManager {
                                  const std::string& scheduler_policy =
                                      "backfill");
 
-  const std::vector<PilotPtr>& pilots() const { return pilots_; }
-
-  /// Pilots owned by one session (PilotDescription::session; "" =
-  /// legacy unnamed), in submission order.
-  std::vector<PilotPtr> pilots_for_session(
-      const std::string& session) const;
-
-  /// Number of pilots owned by one session.
-  std::size_t pilot_count_for_session(const std::string& session) const;
-
   ExecutionBackend& backend() { return backend_; }
 
  private:
@@ -60,6 +50,11 @@ class PilotManager {
   // thread (Runtime::run_concurrent drives all sessions on one
   // thread); agent worker threads never touch the manager.
   ExecutionBackend& backend_;
+  /// Every pilot submitted, never pruned and never read: it keeps each
+  /// pilot, and so its agent, alive for the manager's lifetime.
+  /// SimAgent's engine events capture the agent's `this`, so a pilot
+  /// dropped here while the engine may still fire them would leave
+  /// those events pointing at a destroyed agent.
   std::vector<PilotPtr> pilots_;
 };
 

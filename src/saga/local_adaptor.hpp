@@ -5,7 +5,7 @@
 // (slots) are free, FIFO otherwise — there is no queue-wait model —
 // and holds its cores until its owner calls complete() or cancel().
 // The adaptor starts no threads; the pilot's LocalAgent runs the
-// units' payloads on its own pool.
+// units' payloads on its own worker threads.
 #pragma once
 
 #include <deque>

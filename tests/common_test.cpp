@@ -1,11 +1,13 @@
 // Unit tests for the common utilities.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <set>
 #include <thread>
 
@@ -15,6 +17,7 @@
 #include "common/status.hpp"
 #include "common/strings.hpp"
 #include "common/table.hpp"
+#include "common/task_fn.hpp"
 #include "common/uid.hpp"
 
 namespace entk {
@@ -486,6 +489,61 @@ TEST(Table, RejectsBadRows) {
   Table table({"one", "two"});
   EXPECT_THROW(table.add_row(std::vector<std::string>{"only-one"}),
                std::logic_error);
+}
+
+// ---------------------------------------------------------------- TaskFn
+
+TEST(TaskFn, EmptyByDefaultAndAfterMoveOut) {
+  TaskFn task;
+  EXPECT_FALSE(static_cast<bool>(task));
+  std::atomic<int> runs{0};
+  TaskFn filled([&runs] { runs.fetch_add(1); });
+  EXPECT_TRUE(static_cast<bool>(filled));
+  TaskFn taken = std::move(filled);
+  EXPECT_FALSE(static_cast<bool>(filled));  // NOLINT(bugprone-use-after-move)
+  taken();
+  EXPECT_EQ(runs.load(), 1);
+}
+
+TEST(TaskFn, SmallCallablesAvoidTheHeap) {
+  // A capture that fits the inline buffer must be stored inline; the
+  // trait is what sim::Engine relies on for its zero-allocation
+  // schedule path.
+  int a = 1, b = 2, c = 3;
+  auto small = [a, b, c]() { (void)(a + b + c); };
+  static_assert(TaskFn::stores_inline<decltype(small)>,
+                "three ints must fit the inline buffer");
+  struct Big {
+    unsigned char bytes[128];
+    void operator()() const {}
+  };
+  static_assert(!TaskFn::stores_inline<Big>,
+                "128 bytes must spill to the heap");
+  TaskFn inline_task(small);
+  TaskFn heap_task(Big{});
+  inline_task();
+  heap_task();
+}
+
+TEST(TaskFn, MoveOnlyCallablesWork) {
+  auto value = std::make_unique<int>(41);
+  std::atomic<int> seen{0};
+  TaskFn task([moved = std::move(value), &seen] { seen = *moved + 1; });
+  TaskFn hopped = std::move(task);
+  hopped();
+  EXPECT_EQ(seen.load(), 42);
+}
+
+TEST(TaskFn, DestroysCaptureWithoutInvocation) {
+  // A task dropped on the floor (e.g. a cancelled engine event) must
+  // still release what it captured.
+  auto guard = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = guard;
+  {
+    TaskFn task([held = std::move(guard)] { (void)*held; });
+    EXPECT_FALSE(watch.expired());
+  }
+  EXPECT_TRUE(watch.expired());
 }
 
 }  // namespace

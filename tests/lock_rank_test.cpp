@@ -25,8 +25,7 @@ namespace {
 TEST(LockRank, NamesAreStable) {
   EXPECT_STREQ(lock_rank_name(LockRank::kNone), "kNone");
   EXPECT_STREQ(lock_rank_name(LockRank::kUnitManager), "kUnitManager");
-  EXPECT_STREQ(lock_rank_name(LockRank::kWorkStealingQueue),
-               "kWorkStealingQueue");
+  EXPECT_STREQ(lock_rank_name(LockRank::kComputeUnit), "kComputeUnit");
   EXPECT_STREQ(lock_rank_name(LockRank::kLogger), "kLogger");
 }
 
@@ -41,7 +40,7 @@ TEST(LockRank, RanksAreStrictlyOrderedAlongTheRuntimeChain) {
   EXPECT_LT(static_cast<int>(LockRank::kLocalAdaptor),
             static_cast<int>(LockRank::kSagaJob));
   EXPECT_LT(static_cast<int>(LockRank::kLocalAgent),
-            static_cast<int>(LockRank::kWorkStealingQueue));
+            static_cast<int>(LockRank::kComputeUnit));
   EXPECT_LT(static_cast<int>(LockRank::kComputeUnit),
             static_cast<int>(LockRank::kTraceRecorder));
   EXPECT_LT(static_cast<int>(LockRank::kTraceRecorder),
@@ -68,7 +67,7 @@ int exit_status_of(Body body) {
 
 TEST(LockRankCheck, InOrderAcquisitionPasses) {
   Mutex low(LockRank::kUnitManager);
-  Mutex high(LockRank::kWorkStealingQueue);
+  Mutex high(LockRank::kUidRegistry);
   {
     MutexLock outer(low);
     MutexLock inner(high);
@@ -78,7 +77,7 @@ TEST(LockRankCheck, InOrderAcquisitionPasses) {
 }
 
 TEST(LockRankCheck, UnrankedLocksAreExemptFromOrdering) {
-  Mutex ranked(LockRank::kWorkStealingQueue);
+  Mutex ranked(LockRank::kUidRegistry);
   Mutex unranked;
   MutexLock outer(ranked);
   MutexLock inner(unranked);  // kNone after a high rank: allowed
@@ -88,9 +87,9 @@ TEST(LockRankCheck, UnrankedLocksAreExemptFromOrdering) {
 TEST(LockRankCheck, OutOfOrderAcquisitionAborts) {
   const int status = exit_status_of([] {
     Mutex low(LockRank::kUnitManager);
-    Mutex high(LockRank::kWorkStealingQueue);
+    Mutex high(LockRank::kUidRegistry);
     MutexLock outer(high);
-    MutexLock inner(low);  // rank 30 while holding 78: must abort
+    MutexLock inner(low);  // rank 30 while holding 85: must abort
   });
   ASSERT_TRUE(WIFSIGNALED(status));
   EXPECT_EQ(WTERMSIG(status), SIGABRT);
@@ -120,7 +119,7 @@ TEST(LockRankCheck, SelfDeadlockAborts) {
 TEST(LockRankCheck, SharedMutexParticipates) {
   const int status = exit_status_of([] {
     SharedMutex low(LockRank::kUnitManager);
-    Mutex high(LockRank::kWorkStealingQueue);
+    Mutex high(LockRank::kUidRegistry);
     MutexLock outer(high);
     SharedReaderLock inner(low);  // readers obey the same order
   });
@@ -133,7 +132,7 @@ TEST(LockRankCheck, SharedMutexParticipates) {
 TEST(LockRankCheck, DisabledValidatorIsFree) {
   // Release builds keep the rank argument but compile the hooks to
   // no-ops; held_count is always zero.
-  Mutex mutex(LockRank::kWorkStealingQueue);
+  Mutex mutex(LockRank::kUidRegistry);
   MutexLock lock(mutex);
   EXPECT_EQ(lockrank::held_count(), 0);
 }

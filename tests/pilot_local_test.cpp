@@ -1,14 +1,21 @@
 // Integration tests of the local backend: real payload execution,
 // real staging, and the full EnTK stack running genuine work.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/entk.hpp"
+#include "obs/metrics.hpp"
 #include "pilot/local_agent.hpp"
 #include "pilot/local_backend.hpp"
 #include "pilot/pilot_manager.hpp"
@@ -311,13 +318,161 @@ TEST(LocalEndToEnd, SimulationAnalysisLoopWithRealMd) {
   ASSERT_TRUE(handle.deallocate().is_ok());
 }
 
+/// Polls `done` every millisecond for up to `seconds`; returns whether
+/// it became true. Bounds every wait in these tests, so a lost wakeup
+/// fails the test instead of hanging it.
+bool wait_for(const std::function<bool()>& done, double seconds = 30.0) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::duration<double>(seconds);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+/// Runs `descriptions` on one `cores`-core pilot of a LocalBackend of
+/// the same size and returns the units once all have settled.
+std::vector<ComputeUnitPtr> run_on_local_pilot(
+    Count cores, std::vector<UnitDescription> descriptions) {
+  LocalBackend backend(cores);
+  PilotManager manager(backend);
+  PilotDescription pilot_description;
+  pilot_description.resource = "localhost";
+  pilot_description.cores = cores;
+  pilot_description.runtime = 3600.0;
+  auto pilot = manager.submit_pilot(pilot_description);
+  EXPECT_TRUE(pilot.ok()) << pilot.status().to_string();
+  if (!pilot.ok()) return {};
+  EXPECT_TRUE(manager.wait_active(pilot.value()).is_ok());
+  UnitManager units(backend);
+  units.add_pilot(pilot.value());
+  auto submitted = units.submit_units(std::move(descriptions));
+  EXPECT_TRUE(submitted.ok()) << submitted.status().to_string();
+  if (!submitted.ok()) return {};
+  EXPECT_TRUE(units.wait_units(submitted.value(), 60.0).is_ok());
+  return submitted.take();
+}
+
+TEST(LocalAgent, RunsOnePayloadPerCoreAtOnce) {
+  // Each payload counts itself in and holds its core until all have
+  // entered, so the units can only finish if the agent runs as many
+  // payloads at once as the pilot has cores. A shortfall times the
+  // payloads out, which fails their units.
+  for (const Count cores : {Count{4}, Count{16}}) {
+    SCOPED_TRACE(cores);
+    std::atomic<Count> entered{0};
+    std::vector<UnitDescription> descriptions;
+    for (Count i = 0; i < cores; ++i) {
+      descriptions.push_back(payload_unit(
+          [&entered, cores](const UnitRuntimeContext&) -> Status {
+            entered.fetch_add(1);
+            if (!wait_for([&] { return entered.load() == cores; })) {
+              return make_error(Errc::kTimedOut,
+                                std::to_string(entered.load()) + " of " +
+                                    std::to_string(cores) +
+                                    " payloads ran at once");
+            }
+            return Status::ok();
+          }));
+    }
+    const auto units = run_on_local_pilot(cores, std::move(descriptions));
+    ASSERT_EQ(units.size(), static_cast<std::size_t>(cores));
+    for (const auto& unit : units) {
+      EXPECT_EQ(unit->state(), UnitState::kDone)
+          << unit->final_status().to_string();
+    }
+    EXPECT_EQ(entered.load(), cores);
+  }
+}
+
+TEST(LocalAgent, MoreCoresThanWorkersRunsEveryPayloadOnce) {
+  // 32 cores get 16 workers, so launched units queue for a worker.
+  constexpr std::size_t kUnits = 256;
+  std::vector<std::atomic<int>> runs(kUnits);
+  std::vector<UnitDescription> descriptions;
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    descriptions.push_back(payload_unit(
+        [&runs, i](const UnitRuntimeContext&) -> Status {
+          runs[i].fetch_add(1);
+          return Status::ok();
+        }));
+  }
+  const auto units = run_on_local_pilot(32, std::move(descriptions));
+  ASSERT_EQ(units.size(), kUnits);
+  for (std::size_t i = 0; i < kUnits; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "payload " << i;
+    EXPECT_EQ(units[i]->state(), UnitState::kDone);
+  }
+}
+
+TEST(LocalAgentShutdown, TeardownDrainsLaunchedUnitsAndLaunchesNoMore) {
+  // 20 cores, 16 workers: 16 units block in their payloads, 4 wait in
+  // the launched deque, and a 21st unit waits in the backlog. Teardown
+  // must run all 20 launched units to DONE and launch nothing more.
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("entk-agent-drain-test-" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  WallClock clock;
+  auto scheduler = make_scheduler("fifo");
+  ASSERT_TRUE(scheduler.ok());
+  auto agent = std::make_unique<LocalAgent>(
+      sim::comet_profile(), 20, scheduler.take(), clock, root);
+  agent->start({});
+
+  std::atomic<int> entered{0};
+  std::atomic<bool> release{false};
+  std::vector<ComputeUnitPtr> launched;
+  for (int i = 0; i < 20; ++i) {
+    launched.push_back(std::make_shared<ComputeUnit>(
+        "drain.u" + std::to_string(i),
+        payload_unit([&entered, &release](const UnitRuntimeContext&)
+                         -> Status {
+          entered.fetch_add(1);
+          if (!wait_for([&] { return release.load(); })) {
+            return make_error(Errc::kTimedOut, "never released");
+          }
+          return Status::ok();
+        }),
+        clock, 0));
+  }
+  auto backlog = std::make_shared<ComputeUnit>(
+      "drain.backlog",
+      payload_unit(
+          [](const UnitRuntimeContext&) -> Status { return Status::ok(); }),
+      clock, 0);
+  std::vector<ComputeUnitPtr> all = launched;
+  all.push_back(backlog);
+  for (const auto& unit : all) {
+    unit->stamp_created();
+    ASSERT_TRUE(unit->advance_state(UnitState::kPendingExecution).is_ok());
+  }
+  ASSERT_TRUE(agent->submit(all).is_ok());
+  ASSERT_TRUE(wait_for([&] { return entered.load() == 16; }));
+  EXPECT_EQ(agent->running_units(), 20u);
+  EXPECT_EQ(agent->waiting_units(), 1u);
+
+  // The destructor stops the agent, then blocks joining the workers;
+  // the payloads return only after it has had time to stop it.
+  std::thread closer([&agent] { agent.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.store(true);
+  closer.join();
+  EXPECT_EQ(entered.load(), 20);
+  for (const auto& unit : launched) {
+    EXPECT_EQ(unit->state(), UnitState::kDone) << unit->uid();
+  }
+  EXPECT_EQ(backlog->state(), UnitState::kPendingExecution);
+  fs::remove_all(root);
+}
+
 TEST(LocalAgentShutdown, TeardownWhileAUnitFinishesDoesNotAbort) {
   // Regression for the shutdown footgun: a unit settling while the
   // agent tears down re-enters schedule_locked from its worker thread
-  // and tries to launch the next waiting unit into a pool that is
-  // already stopping. That submission must be refused cleanly (the
-  // unit goes back to the backlog) — the old ThreadPool::submit path
-  // aborted the whole process on exactly this race.
+  // with a unit still waiting. A stopping agent launches nothing, so
+  // the follower stays in the backlog. An earlier thread pool aborted
+  // the whole process on exactly this race.
   const fs::path root =
       fs::temp_directory_path() / "entk-agent-teardown-test";
   fs::remove_all(root);
@@ -357,15 +512,262 @@ TEST(LocalAgentShutdown, TeardownWhileAUnitFinishesDoesNotAbort) {
   }
   // Tear down while the payload is mid-flight; the destructor blocks
   // joining the worker, so the settle -> reschedule happens with the
-  // pool already stopping.
+  // agent already stopping.
   std::thread closer([&agent] { agent.reset(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   release.store(true, std::memory_order_release);
   closer.join();
   EXPECT_EQ(blocked->state(), UnitState::kDone);
-  // The follower's launch was refused by the stopping pool and the
-  // reservation rolled back: still pending, never started, not lost.
+  // The stopping agent never launched the follower: still pending,
+  // never started, not lost.
   EXPECT_EQ(follower->state(), UnitState::kPendingExecution);
+  fs::remove_all(root);
+}
+
+/// A started agent with a FIFO scheduler, its session dir at `root`.
+std::unique_ptr<LocalAgent> started_agent(Count cores, const Clock& clock,
+                                          const fs::path& root) {
+  auto scheduler = make_scheduler("fifo");
+  EXPECT_TRUE(scheduler.ok());
+  auto agent = std::make_unique<LocalAgent>(
+      sim::comet_profile(), cores, scheduler.take(), clock, root);
+  agent->start({});
+  return agent;
+}
+
+/// A one-core unit already kPendingExecution, as LocalAgent::submit
+/// expects.
+ComputeUnitPtr pending_unit(const std::string& uid, UnitPayload payload,
+                            const Clock& clock) {
+  auto unit = std::make_shared<ComputeUnit>(
+      uid, payload_unit(std::move(payload)), clock, 0);
+  unit->stamp_created();
+  EXPECT_TRUE(unit->advance_state(UnitState::kPendingExecution).is_ok());
+  return unit;
+}
+
+/// Units launched so far: schedule_locked() counts each as one pick.
+std::uint64_t launches() {
+  return obs::Metrics::instance()
+      .counter(obs::WellKnownCounter::kSchedulerPicks)
+      .get();
+}
+
+/// After a teardown: exactly `launched` units ran, once each, to DONE,
+/// and every other unit still waits in kPendingExecution, unrun.
+void expect_only_launched_units_ran(const std::vector<ComputeUnitPtr>& units,
+                                    const std::vector<std::atomic<int>>& runs,
+                                    std::uint64_t launched) {
+  std::uint64_t done = 0;
+  for (std::size_t i = 0; i < units.size(); ++i) {
+    if (units[i]->state() == UnitState::kDone) {
+      ++done;
+      EXPECT_EQ(runs[i].load(), 1) << units[i]->uid();
+    } else {
+      EXPECT_EQ(units[i]->state(), UnitState::kPendingExecution)
+          << units[i]->uid();
+      EXPECT_EQ(runs[i].load(), 0) << units[i]->uid();
+    }
+  }
+  EXPECT_EQ(done, launched) << "teardown lost a launched unit";
+}
+
+/// Submits `units` one at a time from three threads at once, and
+/// returns once all three are done.
+void submit_from_three_threads(LocalAgent& agent,
+                               const std::vector<ComputeUnitPtr>& units) {
+  std::atomic<bool> go{false};
+  std::vector<std::thread> submitters;
+  for (std::size_t s = 0; s < 3; ++s) {
+    submitters.emplace_back([&agent, &units, &go, s] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      for (std::size_t i = s; i < units.size(); i += 3) {
+        EXPECT_TRUE(agent.submit({units[i]}).is_ok()) << units[i]->uid();
+      }
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& submitter : submitters) submitter.join();
+}
+
+TEST(LocalAgentShutdown, TeardownUnderLoadRunsEveryLaunchedUnit) {
+  // Three threads fill a 2-core agent's backlog, and teardown starts at
+  // once, racing the workers that settle units and launch the next.
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("entk-agent-load-test-" + std::to_string(::getpid()));
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE(round);
+    fs::remove_all(root);
+    WallClock clock;
+    auto agent = started_agent(2, clock, root);
+    constexpr std::size_t kUnits = 150;
+    std::vector<std::atomic<int>> runs(kUnits);
+    std::vector<ComputeUnitPtr> units;
+    for (std::size_t i = 0; i < kUnits; ++i) {
+      units.push_back(pending_unit(
+          "load.u" + std::to_string(i),
+          [&runs, i](const UnitRuntimeContext&) -> Status {
+            runs[i].fetch_add(1);
+            return Status::ok();
+          },
+          clock));
+    }
+    const std::uint64_t launched_before = launches();
+    submit_from_three_threads(*agent, units);
+    agent.reset();
+    expect_only_launched_units_ran(units, runs, launches() - launched_before);
+  }
+  fs::remove_all(root);
+}
+
+TEST(LocalAgentShutdown, SubmitFromAWorkerDuringTeardownLaunchesNothing) {
+  // A payload still running when teardown starts submits a follow-on
+  // from its worker, as a settle callback resubmitting work does. The
+  // submit returns cleanly, and the stopping agent leaves the follow-on
+  // waiting although a core is free for it.
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("entk-agent-resubmit-test-" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  WallClock clock;
+  auto agent = started_agent(2, clock, root);
+  LocalAgent* const raw = agent.get();
+
+  std::atomic<int> follow_on_runs{0};
+  auto follow_on = pending_unit(
+      "resubmit.follow_on",
+      [&follow_on_runs](const UnitRuntimeContext&) -> Status {
+        follow_on_runs.fetch_add(1);
+        return Status::ok();
+      },
+      clock);
+  std::atomic<bool> entered{false};
+  std::atomic<bool> release{false};
+  // Written by the worker, read after the teardown joined it.
+  Status submitted = make_error(Errc::kInternal, "never submitted");
+  auto blocked = pending_unit(
+      "resubmit.blocked",
+      [&](const UnitRuntimeContext&) -> Status {
+        entered.store(true);
+        if (!wait_for([&] { return release.load(); })) {
+          return make_error(Errc::kTimedOut, "never released");
+        }
+        submitted = raw->submit({follow_on});
+        return Status::ok();
+      },
+      clock);
+  ASSERT_TRUE(agent->submit({blocked}).is_ok());
+  ASSERT_TRUE(wait_for([&] { return entered.load(); }));
+
+  std::thread closer([&agent] { agent.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  release.store(true);
+  closer.join();
+  EXPECT_TRUE(submitted.is_ok()) << submitted.to_string();
+  EXPECT_EQ(blocked->state(), UnitState::kDone);
+  EXPECT_EQ(follow_on->state(), UnitState::kPendingExecution);
+  EXPECT_EQ(follow_on_runs.load(), 0);
+  fs::remove_all(root);
+}
+
+// The ThreadPool and ThreadPoolStressTest suites first pinned these
+// contracts on the pools that ran payloads before the agent had its
+// own workers. They keep their names and now run against a LocalAgent,
+// where a unit reaches the workers either from outside the agent or
+// from one of its own workers, as a settle callback resubmitting a
+// follow-on does.
+
+TEST(ThreadPool, RunsAllTasks) {
+  // Both ways in, in one run: 100 units submitted from outside, each
+  // of whose payloads submits one follow-on from its worker.
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("entk-agent-runs-all-test-" + std::to_string(::getpid()));
+  fs::remove_all(root);
+  WallClock clock;
+  auto agent = started_agent(4, clock, root);
+  LocalAgent* const raw = agent.get();
+  constexpr std::size_t kSeeds = 100;
+  std::atomic<int> counter{0};
+  std::atomic<int> refused{0};
+  std::vector<ComputeUnitPtr> follow_ons;
+  std::vector<ComputeUnitPtr> seeds;
+  for (std::size_t i = 0; i < kSeeds; ++i) {
+    follow_ons.push_back(pending_unit(
+        "runs_all.f" + std::to_string(i),
+        [&counter](const UnitRuntimeContext&) -> Status {
+          counter.fetch_add(1);
+          return Status::ok();
+        },
+        clock));
+    const ComputeUnitPtr follow_on = follow_ons.back();
+    seeds.push_back(pending_unit(
+        "runs_all.s" + std::to_string(i),
+        [&, follow_on](const UnitRuntimeContext&) -> Status {
+          counter.fetch_add(1);
+          if (!raw->submit({follow_on}).is_ok()) refused.fetch_add(1);
+          return Status::ok();
+        },
+        clock));
+  }
+  ASSERT_TRUE(agent->submit(seeds).is_ok());
+  std::vector<ComputeUnitPtr> all = seeds;
+  all.insert(all.end(), follow_ons.begin(), follow_ons.end());
+  EXPECT_TRUE(wait_for([&] {
+    return std::all_of(all.begin(), all.end(), [](const auto& unit) {
+      return is_final(unit->state());
+    });
+  }));
+  agent.reset();
+  EXPECT_EQ(refused.load(), 0);
+  EXPECT_EQ(counter.load(), 200);
+  for (const auto& unit : all) {
+    EXPECT_EQ(unit->state(), UnitState::kDone) << unit->uid();
+  }
+  fs::remove_all(root);
+}
+
+TEST(ThreadPoolStressTest, SubmittersRacingShutdownNeverLoseAcceptedTasks) {
+  // Relay chains: three threads submit each chain's head to a 2-core
+  // agent, and every payload submits the next unit of its chain from
+  // its worker, so the workers are still submitting when teardown
+  // starts. Every launched unit must run to DONE, and every other unit
+  // must stay pending, unrun.
+  constexpr std::size_t kChains = 30;
+  constexpr std::size_t kLength = 5;
+  const fs::path root =
+      fs::temp_directory_path() /
+      ("entk-agent-relay-test-" + std::to_string(::getpid()));
+  for (int round = 0; round < 20; ++round) {
+    SCOPED_TRACE(round);
+    fs::remove_all(root);
+    WallClock clock;
+    auto agent = started_agent(2, clock, root);
+    LocalAgent* const raw = agent.get();
+    std::vector<std::atomic<int>> runs(kChains * kLength);
+    std::vector<ComputeUnitPtr> units(kChains * kLength);
+    std::vector<ComputeUnitPtr> heads;
+    for (std::size_t c = 0; c < kChains; ++c) {
+      // Back to front, so each payload can hold its successor.
+      for (std::size_t k = kLength; k-- > 0;) {
+        const std::size_t i = c * kLength + k;
+        ComputeUnitPtr next = k + 1 < kLength ? units[i + 1] : nullptr;
+        units[i] = pending_unit(
+            "relay.u" + std::to_string(i),
+            [&runs, i, raw, next](const UnitRuntimeContext&) -> Status {
+              runs[i].fetch_add(1);
+              return next ? raw->submit({next}) : Status::ok();
+            },
+            clock);
+      }
+      heads.push_back(units[c * kLength]);
+    }
+    const std::uint64_t launched_before = launches();
+    submit_from_three_threads(*agent, heads);
+    agent.reset();
+    expect_only_launched_units_ran(units, runs, launches() - launched_before);
+  }
   fs::remove_all(root);
 }
 

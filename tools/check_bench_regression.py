@@ -56,16 +56,15 @@ queue sized for the storm, incomplete workloads, a storm that never
 contended, and a missing block are all errors.
 
 --parallel-speedup-floor gates the "parallel_runtime" probe block
-(bench/scale_sweep's work-stealing-pool sweep: a fixed batch of
-blocking kernels at 1/4/16 pool threads).  The gated speedup is the
-wall-clock ratio against the one-thread run -- the concurrency the
-pool actually delivered -- and because the kernels block rather than
-spin, the ratio is machine-independent and holds on one-core CI
-runners.  --parallel-speedup-threads picks the gated point (default
-4, the smoke point; the full-mode acceptance point is 16).  The probe
-piles its batch onto one worker's deque, so every point with 4 or more
-threads must also report stolen > 0: with no steals the steal path went
-unexercised.  A missing block or points list is an error.
+(bench/scale_sweep's local-backend sweep: a bag of blocking misc.sleep
+units through pilots of 1/4/16 cores, each core one LocalAgent worker
+thread).  The gated speedup is the wall-clock ratio against the
+one-core run -- the concurrency the agent actually delivered -- and
+because the payloads block rather than spin, the ratio is
+machine-independent and holds on one-core CI runners.
+--parallel-speedup-threads picks the gated point (default 4, the smoke
+point; the full-mode acceptance point is 16).  A missing block or
+points list is an error.
 
 Baseline points absent from the candidate are an error (a sweep point
 silently disappearing is itself a regression); candidate points absent
@@ -224,17 +223,17 @@ def check_multi_session(candidate, isolation_ceiling, inflation_ceiling):
 
 
 def check_parallel_runtime(candidate, floor, threads):
-    """Gates the parallel-runtime probe's speedup at `threads` pool
-    threads against `floor`.
+    """Gates the parallel-runtime probe's speedup at `threads` pilot
+    cores against `floor`.
 
-    bench/scale_sweep's work-stealing-pool sweep runs a fixed batch of
-    blocking kernels at 1/4/16 threads; the speedup is the wall-clock
-    ratio against the one-thread run, i.e. the concurrency the pool
-    actually delivered. Blocking kernels make the ratio deterministic
-    and meaningful even on one-core runners, so unlike the events/sec
-    points this floor is machine-independent. A missing block is an
-    error -- the runtime silently losing its concurrency measurement
-    is itself a regression.
+    bench/scale_sweep runs a bag of blocking misc.sleep units through
+    LocalBackend pilots of 1/4/16 cores; the speedup is the wall-clock
+    ratio against the one-core run, i.e. the concurrency the agent's
+    workers actually delivered. Blocking payloads make the ratio
+    deterministic and meaningful even on one-core runners, so unlike
+    the events/sec points this floor is machine-independent. A missing
+    block is an error -- the runtime silently losing its concurrency
+    measurement is itself a regression.
     """
     failures = []
     notes = []
@@ -242,7 +241,7 @@ def check_parallel_runtime(candidate, floor, threads):
     if probe is None:
         failures.append(
             "candidate has no 'parallel_runtime' probe block: the bench "
-            "ran without its work-stealing-pool measurement "
+            "ran without its local-backend concurrency measurement "
             "(schema drift?)"
         )
         return failures, notes
@@ -255,35 +254,16 @@ def check_parallel_runtime(candidate, floor, threads):
     speedup = float(probe[key])
     if speedup < floor:
         failures.append(
-            f"parallel runtime speedup at {threads} threads "
+            f"parallel runtime speedup at {threads} cores "
             f"{speedup:.2f}x below the {floor:.1f}x floor"
         )
     else:
         notes.append(
-            f"ok parallel runtime speedup at {threads} threads: "
+            f"ok parallel runtime speedup at {threads} cores: "
             f"{speedup:.2f}x >= {floor:.1f}x floor"
         )
-    # The batch piles onto one deque: at 4+ workers the others can only
-    # get work by stealing, so zero steals means the path went untested.
-    points = probe.get("points")
-    if not points:
+    if not probe.get("points"):
         failures.append("parallel_runtime probe has no points")
-        return failures, notes
-    for point in points:
-        pool_threads = int(point.get("threads", 0))
-        if pool_threads < 4:
-            continue
-        stolen = int(point.get("stolen", 0))
-        if stolen == 0:
-            failures.append(
-                f"parallel runtime stole no task at {pool_threads} "
-                "threads (steal path unexercised)"
-            )
-        else:
-            notes.append(
-                f"ok parallel runtime stole {stolen} task(s) at "
-                f"{pool_threads} threads"
-            )
     return failures, notes
 
 
@@ -611,19 +591,12 @@ def self_test():
     )
 
     # Parallel-runtime probe: below-floor speedup fails, above passes,
-    # a 4+ thread point that stole nothing fails, and absent block /
-    # missing metric / missing points are clear failures.
-    def pool_points(stolen_at_4=90, stolen_at_16=220):
-        return [
-            {"threads": 1, "stolen": 0},
-            {"threads": 4, "stolen": stolen_at_4},
-            {"threads": 16, "stolen": stolen_at_16},
-        ]
-
+    # and absent block / missing metric / missing points are clear
+    # failures.
     runtime = {
         "speedup_at_4": 3.8,
         "speedup_at_16": 14.2,
-        "points": pool_points(),
+        "points": [{"threads": 1}, {"threads": 4}, {"threads": 16}],
     }
     failures, notes = check_parallel_runtime(
         {"parallel_runtime": runtime}, 2.0, 4
@@ -654,31 +627,6 @@ def self_test():
             any("speedup_at_16" in f for f in failures),
         )
     )
-    failures, notes = check_parallel_runtime(
-        {"parallel_runtime": runtime}, 2.0, 4
-    )
-    checks.append(
-        (
-            "steals at every 4+ thread point pass",
-            not failures and sum("stole" in n for n in notes) == 2,
-        )
-    )
-    for stolen_at_4, stolen_at_16, gated in ((0, 220, 4), (90, 0, 16)):
-        failures, _ = check_parallel_runtime(
-            {
-                "parallel_runtime": dict(
-                    runtime, points=pool_points(stolen_at_4, stolen_at_16)
-                )
-            },
-            2.0,
-            4,
-        )
-        checks.append(
-            (
-                f"zero steals at {gated} threads caught",
-                any(f"no task at {gated} threads" in f for f in failures),
-            )
-        )
     failures, _ = check_parallel_runtime(
         {"parallel_runtime": {"speedup_at_4": 3.8}}, 2.0, 4
     )
@@ -825,7 +773,7 @@ def main():
         default=None,
         metavar="RATIO",
         help="also gate the candidate's parallel-runtime probe: the "
-        "work-stealing pool's blocking-kernel speedup must be at "
+        "local backend's blocking-payload speedup must be at "
         "least this (e.g. 2.0)",
     )
     parser.add_argument(
@@ -833,7 +781,7 @@ def main():
         type=int,
         default=4,
         metavar="N",
-        help="which pool-thread point --parallel-speedup-floor gates "
+        help="which pilot-core point --parallel-speedup-floor gates "
         "(default 4; the full-mode acceptance point is 16)",
     )
     parser.add_argument(

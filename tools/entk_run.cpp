@@ -22,6 +22,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -78,6 +79,53 @@ std::atomic<bool> g_stop_requested{false};
 
 extern "C" void handle_stop_signal(int) {
   g_stop_requested.store(true, std::memory_order_relaxed);
+}
+
+/// Runs `run` with the trace recorder on when `trace_path` is set,
+/// then writes the Chrome trace and the --metrics text. Both the
+/// single-workload and the --concurrent path go through here. Returns
+/// 0, or 3 when an export fails.
+int run_with_outputs(const std::string& trace_path,
+                     const std::string& metrics_path,
+                     const std::function<void()>& run) {
+  using namespace entk;
+  if (!trace_path.empty()) {
+    if (!obs::tracing_compiled_in()) {
+      std::cerr << "entk-run: this build was compiled with "
+                   "ENTK_ENABLE_TRACING=0; the trace will only contain "
+                   "run bookkeeping\n";
+    }
+    auto& recorder = obs::TraceRecorder::instance();
+    recorder.set_capacity_per_thread(kTraceCapacity);
+    recorder.set_enabled(true);
+  }
+  run();
+  if (!trace_path.empty()) {
+    auto& recorder = obs::TraceRecorder::instance();
+    recorder.set_enabled(false);
+    const auto stats = recorder.stats();
+    if (Status status = obs::write_chrome_trace(trace_path,
+                                                recorder.snapshot());
+        !status.is_ok()) {
+      std::cerr << "entk-run: trace export failed: " << status.to_string()
+                << "\n";
+      return 3;
+    }
+    std::cerr << "entk-run: wrote " << stats.recorded << " trace events ("
+              << stats.dropped << " dropped) to " << trace_path << "\n";
+  }
+  if (!metrics_path.empty()) {
+    const std::string text = obs::Metrics::instance().to_text();
+    if (metrics_path == "-") {
+      std::cout << text;
+    } else if (Status status = write_file_atomic(metrics_path, text);
+               !status.is_ok()) {
+      std::cerr << "entk-run: cannot write metrics to " << metrics_path
+                << ": " << status.to_string() << "\n";
+      return 3;
+    }
+  }
+  return 0;
 }
 
 }  // namespace
@@ -221,34 +269,12 @@ int main(int argc, char** argv) {
       }
       workloads.push_back({std::move(candidate), spec.take()});
     }
-    if (!trace_path.empty()) {
-      auto& recorder = obs::TraceRecorder::instance();
-      recorder.set_capacity_per_thread(kTraceCapacity);
-      recorder.set_enabled(true);
-    }
-    auto reports = core::run_workloads_concurrent(workloads, registry);
-    if (!trace_path.empty()) {
-      auto& recorder = obs::TraceRecorder::instance();
-      recorder.set_enabled(false);
-      if (Status status = obs::write_chrome_trace(trace_path,
-                                                  recorder.snapshot());
-          !status.is_ok()) {
-        std::cerr << "entk-run: trace export failed: "
-                  << status.to_string() << "\n";
-        return 3;
-      }
-    }
-    if (!metrics_path.empty()) {
-      const std::string text = obs::Metrics::instance().to_text();
-      if (metrics_path == "-") {
-        std::cout << text;
-      } else if (Status status = write_file_atomic(metrics_path, text);
-                 !status.is_ok()) {
-        std::cerr << "entk-run: cannot write metrics to " << metrics_path
-                  << ": " << status.to_string() << "\n";
-        return 3;
-      }
-    }
+    Result<std::vector<core::RunReport>> reports =
+        make_error(Errc::kInternal, "run not attempted");
+    const int exported = run_with_outputs(trace_path, metrics_path, [&] {
+      reports = core::run_workloads_concurrent(workloads, registry);
+    });
+    if (exported != 0) return exported;
     if (!reports.ok()) {
       std::cerr << "entk-run: " << reports.status().to_string() << "\n";
       return 3;
@@ -301,21 +327,15 @@ int main(int argc, char** argv) {
     std::cerr << "entk-run: strategy selected " << resolved.value().machine
               << " with " << resolved.value().cores << " cores\n";
   }
-  if (!trace_path.empty()) {
-    if (!obs::tracing_compiled_in()) {
-      std::cerr << "entk-run: this build was compiled with "
-                   "ENTK_ENABLE_TRACING=0; the trace will only contain "
-                   "run bookkeeping\n";
-    }
-    auto& recorder = obs::TraceRecorder::instance();
-    recorder.set_capacity_per_thread(kTraceCapacity);
-    recorder.set_enabled(true);
-  }
   Result<core::RunReport> report =
       make_error(Errc::kInternal, "run not attempted");
   bool checkpoint_stop = false;
   std::string last_snapshot;
-  if (!checkpoint_dir.empty()) {
+  const int exported = run_with_outputs(trace_path, metrics_path, [&] {
+    if (checkpoint_dir.empty()) {
+      report = core::run_workload(resolved.value(), registry);
+      return;
+    }
     std::signal(SIGTERM, handle_stop_signal);
     std::signal(SIGINT, handle_stop_signal);
     ckpt::CheckpointedRunOptions ckpt_options;
@@ -335,34 +355,8 @@ int main(int argc, char** argv) {
     } else {
       report = run.status();
     }
-  } else {
-    report = core::run_workload(resolved.value(), registry);
-  }
-  if (!trace_path.empty()) {
-    auto& recorder = obs::TraceRecorder::instance();
-    recorder.set_enabled(false);
-    const auto stats = recorder.stats();
-    if (Status status = obs::write_chrome_trace(trace_path,
-                                                recorder.snapshot());
-        !status.is_ok()) {
-      std::cerr << "entk-run: trace export failed: " << status.to_string()
-                << "\n";
-      return 3;
-    }
-    std::cerr << "entk-run: wrote " << stats.recorded << " trace events ("
-              << stats.dropped << " dropped) to " << trace_path << "\n";
-  }
-  if (!metrics_path.empty()) {
-    const std::string text = obs::Metrics::instance().to_text();
-    if (metrics_path == "-") {
-      std::cout << text;
-    } else if (Status status = write_file_atomic(metrics_path, text);
-               !status.is_ok()) {
-      std::cerr << "entk-run: cannot write metrics to " << metrics_path
-                << ": " << status.to_string() << "\n";
-      return 3;
-    }
-  }
+  });
+  if (exported != 0) return exported;
   if (!report.ok()) {
     std::cerr << "entk-run: " << report.status().to_string() << "\n";
     return 3;
