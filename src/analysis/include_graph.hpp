@@ -6,7 +6,7 @@
 //   [modules]
 //   common = []
 //   obs    = ["common"]
-//   pilot  = ["common", "obs", "sim", "saga"]
+//   pilot  = ["common", "obs", "sim"]
 //
 // A module is a top-level directory under src/; a file belongs to the
 // module named by the first path component after the last "src/"

@@ -33,17 +33,6 @@ class WallClock final : public Clock {
   std::chrono::steady_clock::time_point origin_;
 };
 
-/// A steady-clock deadline `timeout` seconds from now, for CondVar
-/// wait_until loops. The one blessed spot for raw std::chrono clock
-/// reads outside this header (entk-lint rule raw-clock): everything
-/// else stamps time through a Clock so simulated runs stay virtual.
-inline std::chrono::steady_clock::time_point steady_deadline_after(
-    Duration timeout) {
-  return std::chrono::steady_clock::now() +
-         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-             std::chrono::duration<double>(timeout));
-}
-
 /// Manually advanced clock; the simulation engine drives one of these.
 class ManualClock final : public Clock {
  public:

@@ -25,14 +25,10 @@ const char* lock_rank_name(LockRank rank) {
       return "kUnitManager";
     case LockRank::kPilot:
       return "kPilot";
-    case LockRank::kLocalAdaptor:
-      return "kLocalAdaptor";
     case LockRank::kLocalAgent:
       return "kLocalAgent";
     case LockRank::kBackendTimers:
       return "kBackendTimers";
-    case LockRank::kSagaJob:
-      return "kSagaJob";
     case LockRank::kComputeUnit:
       return "kComputeUnit";
     case LockRank::kUidRegistry:

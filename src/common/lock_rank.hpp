@@ -38,10 +38,8 @@ enum class LockRank : int {
   kCallbackGate = 25,     ///< pilot::CallbackGate::mutex_ (teardown)
   kUnitManager = 30,      ///< pilot::UnitManager::mutex_
   kPilot = 40,            ///< pilot::Pilot::mutex_
-  kLocalAdaptor = 45,     ///< saga::LocalAdaptor::mutex_
   kLocalAgent = 50,       ///< pilot::LocalAgent::mutex_
   kBackendTimers = 60,    ///< pilot::LocalBackend::timers_mutex_
-  kSagaJob = 65,          ///< saga::Job::mutex_
   kComputeUnit = 70,      ///< pilot::ComputeUnit::mutex_
   kUidRegistry = 85,      ///< uid.cpp source registry
   kMetricsRegistry = 90,  ///< obs::Metrics::names_mutex_

@@ -1,6 +1,6 @@
 // Unique-id generation for toolkit entities.
 //
-// Every task, unit, pilot, job and pattern instance gets a uid of the
+// Every task, unit, pilot and pattern instance gets a uid of the
 // form "<prefix>.<counter>" (e.g. "unit.000042"), matching the naming
 // scheme of the original toolkit's profiler output. Counters are
 // per-prefix and process-global; generation is thread-safe.

@@ -36,7 +36,6 @@
   X(kGraphFrontierBatches, "graph.frontier_batches")                   \
   X(kGraphNodesSubmitted, "graph.nodes_submitted")                     \
   X(kGraphNodesSkipped, "graph.nodes_skipped")                         \
-  X(kSagaJobsSubmitted, "saga.jobs_submitted")                         \
   X(kStagingDirectives, "staging.directives")                          \
   X(kCheckpointsWritten, "ckpt.snapshots_written")                     \
   X(kCheckpointRestores, "ckpt.restores")                              \

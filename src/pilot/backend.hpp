@@ -15,7 +15,7 @@
 #include "common/clock.hpp"
 #include "common/status.hpp"
 #include "pilot/agent.hpp"
-#include "saga/job_service.hpp"
+#include "sim/batch.hpp"
 #include "sim/machine.hpp"
 
 namespace entk::pilot {
@@ -24,8 +24,18 @@ class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
 
-  /// The SAGA service pilots are submitted through.
-  virtual saga::JobService& job_service() = 0;
+  /// Submits a pilot's container job. It holds `request.cores` cores
+  /// from `on_start` until complete_container() or cancel_container()
+  /// ends it or its walltime expires; `on_end` fires once with the
+  /// final state.
+  virtual Result<sim::BatchJobId> submit_container(
+      sim::BatchJobRequest request) = 0;
+
+  /// Owner signals that a running container is done; frees its cores.
+  virtual Status complete_container(sim::BatchJobId id) = 0;
+
+  /// Cancels a queued or running container.
+  virtual Status cancel_container(sim::BatchJobId id) = 0;
 
   /// The clock profiling timestamps come from.
   virtual const Clock& clock() const = 0;

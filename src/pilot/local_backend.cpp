@@ -13,12 +13,12 @@ namespace entk::pilot {
 
 namespace fs = std::filesystem;
 
-LocalBackend::LocalBackend(Count cores, fs::path session_dir) {
+LocalBackend::LocalBackend(Count cores, fs::path session_dir)
+    : free_cores_(cores) {
   ENTK_CHECK(cores >= 1, "local backend needs at least one core");
   machine_ = sim::localhost_profile();
   machine_.nodes = 1;
   machine_.cores_per_node = cores;
-  adaptor_ = std::make_unique<saga::LocalAdaptor>(cores);
   if (session_dir.empty()) {
     // The uid counter is only process-unique; include the pid so
     // concurrent processes (parallel ctest) never share a session dir.
@@ -48,8 +48,71 @@ Result<std::unique_ptr<Agent>> LocalBackend::make_agent(
   // Names a per-process sandbox dir, not workload state.
   // entk-lint: allow(global-run-state)
   return std::unique_ptr<Agent>(std::make_unique<LocalAgent>(
-      machine_, cores, scheduler.take(), adaptor_->clock(),
+      machine_, cores, scheduler.take(), clock_,
       session_dir_ / next_uid("pilot-session")));
+}
+
+Result<sim::BatchJobId> LocalBackend::submit_container(
+    sim::BatchJobRequest request) {
+  if (request.cores < 1 || request.cores > machine_.total_cores()) {
+    return make_error(Errc::kResourceExhausted,
+                      "container requests " + std::to_string(request.cores) +
+                          " cores; local host has " +
+                          std::to_string(machine_.total_cores()));
+  }
+  const sim::BatchJobId id = next_container_++;
+  waiting_.emplace_back(id, std::move(request));
+  start_containers();
+  return id;
+}
+
+void LocalBackend::start_containers() {
+  // FIFO: the head blocks the rest. Each container leaves waiting_
+  // before its on_start runs, which may re-enter submit/end calls.
+  while (!waiting_.empty() && waiting_.front().second.cores <= free_cores_) {
+    auto [id, request] = std::move(waiting_.front());
+    waiting_.pop_front();
+    free_cores_ -= request.cores;
+    auto on_start = std::move(request.on_start);
+    running_.emplace(id, std::move(request));
+    // The local host keeps no node map: the allocation stays empty.
+    if (on_start) on_start(sim::Allocation{});
+  }
+}
+
+void LocalBackend::end_container(sim::BatchJobId id,
+                                 sim::BatchJobState state) {
+  const auto it = running_.find(id);
+  sim::BatchJobRequest request = std::move(it->second);
+  running_.erase(it);
+  free_cores_ += request.cores;
+  if (request.on_end) request.on_end(state);
+  start_containers();
+}
+
+Status LocalBackend::complete_container(sim::BatchJobId id) {
+  if (running_.count(id) == 0) {
+    return make_error(Errc::kNotFound,
+                      "container " + std::to_string(id) + " is not running");
+  }
+  end_container(id, sim::BatchJobState::kCompleted);
+  return Status::ok();
+}
+
+Status LocalBackend::cancel_container(sim::BatchJobId id) {
+  if (running_.count(id) != 0) {
+    end_container(id, sim::BatchJobState::kCancelled);
+    return Status::ok();
+  }
+  for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
+    if (it->first != id) continue;
+    sim::BatchJobRequest request = std::move(it->second);
+    waiting_.erase(it);
+    if (request.on_end) request.on_end(sim::BatchJobState::kCancelled);
+    return Status::ok();
+  }
+  return make_error(Errc::kNotFound,
+                    "container " + std::to_string(id) + " is not active");
 }
 
 std::uint64_t LocalBackend::schedule_after(Duration delay,

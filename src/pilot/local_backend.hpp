@@ -3,13 +3,15 @@
 // integrated, analyses run) in real time.
 #pragma once
 
+#include <deque>
 #include <filesystem>
 #include <memory>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.hpp"
 #include "pilot/backend.hpp"
-#include "saga/local_adaptor.hpp"
 
 namespace entk::pilot {
 
@@ -22,8 +24,14 @@ class LocalBackend final : public ExecutionBackend {
                         std::filesystem::path session_dir = {});
   ~LocalBackend() override;
 
-  saga::JobService& job_service() override { return *adaptor_; }
-  const Clock& clock() const override { return adaptor_->clock(); }
+  /// Containers start FIFO, with no queue wait, inside whichever call
+  /// frees their cores, and hold them until completed or cancelled;
+  /// the local host enforces no walltime.
+  Result<sim::BatchJobId> submit_container(
+      sim::BatchJobRequest request) override;
+  Status complete_container(sim::BatchJobId id) override;
+  Status cancel_container(sim::BatchJobId id) override;
+  const Clock& clock() const override { return clock_; }
   const sim::MachineProfile& machine() const override { return machine_; }
   Result<std::unique_ptr<Agent>> make_agent(
       Count cores, const std::string& scheduler_policy) override;
@@ -46,14 +54,25 @@ class LocalBackend final : public ExecutionBackend {
   };
   /// Pops every due timer and runs it outside the lock.
   void fire_due_timers() ENTK_EXCLUDES(timers_mutex_);
+  /// Starts waiting containers from the head while their cores fit.
+  void start_containers();
+  /// Frees a running container's cores and fires its `on_end`.
+  void end_container(sim::BatchJobId id, sim::BatchJobState state);
 
   sim::MachineProfile machine_;
-  std::unique_ptr<saga::LocalAdaptor> adaptor_;
+  WallClock clock_;
   std::filesystem::path session_dir_;
   bool owns_session_dir_ = false;
 
   mutable Mutex timers_mutex_{LockRank::kBackendTimers};
   std::vector<Timer> timers_ ENTK_GUARDED_BY(timers_mutex_);
+
+  // Container core slots. Unlocked: PilotManager, their only caller, is
+  // owner-serialized, and agent workers never touch containers.
+  Count free_cores_ = 0;
+  sim::BatchJobId next_container_ = 1;
+  std::deque<std::pair<sim::BatchJobId, sim::BatchJobRequest>> waiting_;
+  std::unordered_map<sim::BatchJobId, sim::BatchJobRequest> running_;
 };
 
 }  // namespace entk::pilot

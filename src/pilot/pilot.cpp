@@ -88,14 +88,14 @@ Status Pilot::advance_state(PilotState to, Status failure) {
   return Status::ok();
 }
 
-void Pilot::attach_job(saga::JobPtr job) {
+void Pilot::attach_container(sim::BatchJobId id) {
   MutexLock lock(mutex_);
-  job_ = std::move(job);
+  container_ = id;
 }
 
-saga::JobPtr Pilot::job() const {
+sim::BatchJobId Pilot::container() const {
   MutexLock lock(mutex_);
-  return job_;
+  return container_;
 }
 
 void Pilot::attach_agent(std::unique_ptr<Agent> agent) {

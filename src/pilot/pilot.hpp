@@ -11,7 +11,7 @@
 #include "common/status.hpp"
 #include "pilot/descriptions.hpp"
 #include "pilot/states.hpp"
-#include "saga/job.hpp"
+#include "sim/batch.hpp"
 
 namespace entk::pilot {
 
@@ -49,8 +49,9 @@ class Pilot {
   // --- runtime interface (pilot manager only) ---
   Status advance_state(PilotState to, Status failure = Status::ok())
       ENTK_EXCLUDES(mutex_);
-  void attach_job(saga::JobPtr job) ENTK_EXCLUDES(mutex_);
-  saga::JobPtr job() const ENTK_EXCLUDES(mutex_);
+  void attach_container(sim::BatchJobId id) ENTK_EXCLUDES(mutex_);
+  /// The backend's id of the container job; 0 until attached.
+  sim::BatchJobId container() const ENTK_EXCLUDES(mutex_);
   void attach_agent(std::unique_ptr<Agent> agent) ENTK_EXCLUDES(mutex_);
 
  private:
@@ -64,7 +65,7 @@ class Pilot {
   TimePoint submitted_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint active_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint finished_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
-  saga::JobPtr job_ ENTK_GUARDED_BY(mutex_);
+  sim::BatchJobId container_ ENTK_GUARDED_BY(mutex_) = 0;
   std::unique_ptr<Agent> agent_ ENTK_GUARDED_BY(mutex_);
   std::vector<Callback> callbacks_ ENTK_GUARDED_BY(mutex_);
 };

@@ -42,64 +42,46 @@ Result<PilotPtr> PilotManager::submit_pilot(
                                        backend_.clock());
   pilot->attach_agent(agent.take());
 
-  saga::JobDescription job_description;
-  job_description.name = pilot->uid();
-  job_description.executable = "entk-agent";  // the bootstrap script
-  job_description.total_cpu_count = description.cores;
-  job_description.wall_time_limit = description.runtime;
-  job_description.queue = description.queue;
-  job_description.project = description.project;
-
-  auto job = backend_.job_service().submit(std::move(job_description));
-  if (!job.ok()) return job.status();
-  pilot->attach_job(job.value());
-
-  std::weak_ptr<Pilot> weak = pilot;
-  auto handle_job_state =
-      [weak](saga::Job& container, saga::JobState state) {
-        auto held = weak.lock();
-        if (!held) return;
-        switch (state) {
-          case saga::JobState::kRunning:
-            // The pilot is Active only once its agent bootstrapped.
-            held->agent()->start([weak] {
-              auto ready = weak.lock();
-              if (!ready) return;
-              ENTK_CHECK(
-                  ready->advance_state(PilotState::kActive).is_ok(),
-                  "pilot became active twice");
-            });
-            break;
-          case saga::JobState::kFailed:
-            if (!is_final(held->state())) {
-              (void)held->advance_state(PilotState::kFailed,
-                                        container.final_status());
-              held->agent()->cancel_waiting();
-            }
-            break;
-          case saga::JobState::kCanceled:
-            if (!is_final(held->state())) {
-              (void)held->advance_state(PilotState::kCanceled);
-              held->agent()->cancel_waiting();
-            }
-            break;
-          default:
-            break;
-        }
-      };
-
   ENTK_CHECK(pilot->advance_state(PilotState::kPendingQueue).is_ok(),
              "fresh pilot");
-  job.value()->on_state_change(handle_job_state);
-  // The local adaptor starts container jobs synchronously inside
-  // submit(), i.e. before the callback above existed — replay the
-  // current state so such pilots still come up.
-  const saga::JobState current = job.value()->state();
-  if (current != saga::JobState::kNew &&
-      current != saga::JobState::kPending &&
-      pilot->state() == PilotState::kPendingQueue) {
-    handle_job_state(*job.value(), current);
-  }
+
+  // The container holds the pilot's cores; the agent runs inside it.
+  sim::BatchJobRequest request;
+  request.cores = description.cores;
+  request.walltime = description.runtime;
+  std::weak_ptr<Pilot> weak = pilot;
+  request.on_start = [weak](const sim::Allocation&) {
+    auto held = weak.lock();
+    if (!held) return;
+    // The pilot is Active only once its agent bootstrapped.
+    held->agent()->start([weak] {
+      auto ready = weak.lock();
+      if (!ready) return;
+      ENTK_CHECK(ready->advance_state(PilotState::kActive).is_ok(),
+                 "pilot became active twice");
+    });
+  };
+  request.on_end = [weak](sim::BatchJobState state) {
+    auto held = weak.lock();
+    if (!held || is_final(held->state())) return;
+    switch (state) {
+      case sim::BatchJobState::kExpired:
+        (void)held->advance_state(
+            PilotState::kFailed,
+            make_error(Errc::kTimedOut,
+                       "pilot " + held->uid() + " exceeded its walltime"));
+        break;
+      case sim::BatchJobState::kCancelled:
+        (void)held->advance_state(PilotState::kCanceled);
+        break;
+      default:  // kCompleted only follows deallocate(), which ended it
+        return;
+    }
+    held->agent()->cancel_waiting();
+  };
+  auto container = backend_.submit_container(std::move(request));
+  if (!container.ok()) return container.status();
+  pilot->attach_container(container.value());
   pilots_.push_back(pilot);
   ENTK_INFO("pilot.manager") << pilot->uid() << " submitted to "
                              << backend_.name() << " ("
@@ -128,7 +110,7 @@ Status PilotManager::deallocate(const PilotPtr& pilot) {
   }
   pilot->agent()->cancel_waiting();
   ENTK_RETURN_IF_ERROR(pilot->advance_state(PilotState::kDone));
-  return backend_.job_service().complete(*pilot->job());
+  return backend_.complete_container(pilot->container());
 }
 
 Result<PilotPtr> PilotManager::resubmit_like(
@@ -151,8 +133,8 @@ Status PilotManager::cancel(const PilotPtr& pilot) {
                       "pilot " + pilot->uid() + " already final");
   }
   pilot->agent()->cancel_waiting();
-  // The job callback transitions the pilot itself.
-  return backend_.job_service().cancel(*pilot->job());
+  // The container's on_end transitions the pilot itself.
+  return backend_.cancel_container(pilot->container());
 }
 
 }  // namespace entk::pilot

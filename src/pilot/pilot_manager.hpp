@@ -17,7 +17,9 @@ class PilotManager {
 
   /// Submits a pilot: validates against the backend's machine, submits
   /// the container job and wires the agent to start when the job runs.
-  /// The returned pilot is kPendingQueue.
+  /// The returned pilot is kPendingQueue, or already kActive when the
+  /// backend started its container at once (the local backend does
+  /// when cores are free).
   Result<PilotPtr> submit_pilot(PilotDescription description,
                                 const std::string& scheduler_policy =
                                     "backfill");

@@ -7,8 +7,6 @@ namespace entk::pilot {
 SimBackend::SimBackend(sim::MachineProfile machine,
                        sim::BatchPolicy batch_policy)
     : cluster_(machine), batch_(engine_, cluster_, batch_policy) {
-  adaptor_ = std::make_unique<saga::SimBatchAdaptor>(engine_, batch_,
-                                                     machine.name);
   if (machine.fault.enabled()) {
     faults_ = std::make_unique<sim::FaultModel>(engine_, machine.fault);
   }

@@ -1,5 +1,5 @@
 // Simulated execution backend: owns one machine's discrete-event world
-// (engine, cluster, batch queue, SAGA adaptor).
+// (engine, cluster, batch queue). Pilot containers are batch jobs.
 #pragma once
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "pilot/backend.hpp"
-#include "saga/sim_batch_adaptor.hpp"
 #include "sim/batch.hpp"
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
@@ -22,7 +21,16 @@ class SimBackend final : public ExecutionBackend {
                       sim::BatchPolicy batch_policy =
                           sim::BatchPolicy::kFifo);
 
-  saga::JobService& job_service() override { return *adaptor_; }
+  Result<sim::BatchJobId> submit_container(
+      sim::BatchJobRequest request) override {
+    return batch_.submit(std::move(request));
+  }
+  Status complete_container(sim::BatchJobId id) override {
+    return batch_.complete(id);
+  }
+  Status cancel_container(sim::BatchJobId id) override {
+    return batch_.cancel(id);
+  }
   const Clock& clock() const override { return engine_.clock(); }
   const sim::MachineProfile& machine() const override {
     return cluster_.profile();
@@ -79,7 +87,6 @@ class SimBackend final : public ExecutionBackend {
   sim::Engine engine_;
   sim::Cluster cluster_;
   sim::BatchQueue batch_;
-  std::unique_ptr<saga::SimBatchAdaptor> adaptor_;
   std::unique_ptr<sim::FaultModel> faults_;
   // Owner-serialized like the rest of the sim world (driver thread).
   std::vector<std::pair<std::uint64_t, StepHook>> step_hooks_;

@@ -286,6 +286,7 @@ TEST(FaultTolerance, PilotWalltimeExpiryRequeuesUnitsOntoSurvivor) {
   ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
 
   EXPECT_EQ(short_pilot.value()->state(), PilotState::kFailed);
+  EXPECT_EQ(short_pilot.value()->final_status().code(), Errc::kTimedOut);
   EXPECT_GE(manager.recovered_units(), 1u);
   for (const auto& unit : units.value()) {
     EXPECT_EQ(unit->state(), UnitState::kDone);

@@ -7,6 +7,11 @@
 // the rank table itself.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <regex>
+#include <sstream>
+#include <string>
+
 #include "common/lock_rank.hpp"
 #include "common/mutex.hpp"
 
@@ -37,14 +42,42 @@ TEST(LockRank, RanksAreStrictlyOrderedAlongTheRuntimeChain) {
             static_cast<int>(LockRank::kComputeUnit));
   EXPECT_LT(static_cast<int>(LockRank::kUnitManager),
             static_cast<int>(LockRank::kPilot));
-  EXPECT_LT(static_cast<int>(LockRank::kLocalAdaptor),
-            static_cast<int>(LockRank::kSagaJob));
+  EXPECT_LT(static_cast<int>(LockRank::kPilot),
+            static_cast<int>(LockRank::kLocalAgent));
   EXPECT_LT(static_cast<int>(LockRank::kLocalAgent),
             static_cast<int>(LockRank::kComputeUnit));
   EXPECT_LT(static_cast<int>(LockRank::kComputeUnit),
             static_cast<int>(LockRank::kTraceRecorder));
   EXPECT_LT(static_cast<int>(LockRank::kTraceRecorder),
             static_cast<int>(LockRank::kLogger));
+}
+
+std::string read_source_file(const std::string& relative) {
+  std::ifstream in(std::string(ENTK_SOURCE_DIR) + "/" + relative);
+  EXPECT_TRUE(in) << relative;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(LockRank, CorrectnessDocListsEveryRank) {
+  // The header is the source of truth; docs/CORRECTNESS.md's table
+  // must carry a "| N | `kName` |" row for each of its ranks.
+  const std::string header = read_source_file("src/common/lock_rank.hpp");
+  const std::string doc = read_source_file("docs/CORRECTNESS.md");
+  const std::regex enumerator(R"(^\s*(k\w+)\s*=\s*(-?\d+),)");
+  int ranks = 0;
+  std::istringstream lines(header);
+  for (std::string line; std::getline(lines, line);) {
+    std::smatch match;
+    if (!std::regex_search(line, match, enumerator)) continue;
+    if (match[1] == "kNone") continue;
+    ++ranks;
+    const std::string row =
+        "| " + match[2].str() + " | `" + match[1].str() + "` |";
+    EXPECT_NE(doc.find(row), std::string::npos) << "missing row " << row;
+  }
+  EXPECT_GT(ranks, 0) << "no rank parsed from lock_rank.hpp";
 }
 
 #if defined(ENTK_LOCK_RANK_CHECK)

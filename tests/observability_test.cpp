@@ -189,7 +189,7 @@ TEST(Metrics, ExportsListEveryWellKnownName) {
   const std::string json = metrics.to_json();
   for (const char* expected :
        {"engine.events_dispatched", "scheduler.cycles", "units.submitted",
-        "saga.jobs_submitted", "engine.pending_events",
+        "units.done", "engine.pending_events",
         "unit.execution_seconds", "graph.frontier_batch_size"}) {
     EXPECT_NE(std::find(names.begin(), names.end(), expected),
               names.end())

@@ -101,13 +101,53 @@ int process_threads() {
 }
 
 TEST(LocalBackend, ConstructionStartsNoThread) {
-  // The backend's saga adaptor only accounts core slots for pilot
-  // containers; threads appear with a pilot's LocalAgent, which runs
-  // the unit payloads.
+  // The backend only accounts core slots for pilot containers; threads
+  // appear with a pilot's LocalAgent, which runs the unit payloads.
   const int before = process_threads();
   ASSERT_GT(before, 0);
   LocalBackend backend(8);
   EXPECT_EQ(process_threads(), before);
+}
+
+TEST(LocalBackend, PilotContainersStartFifoAsCoresFree) {
+  // Six one-core pilots on two cores: two come up inside submit_pilot,
+  // the rest queue in submission order, and each deallocation starts
+  // exactly the next queued pilot.
+  LocalBackend backend(2);
+  PilotManager manager(backend);
+  std::vector<PilotPtr> pilots;
+  for (int i = 0; i < 6; ++i) {
+    PilotDescription description;
+    description.resource = "localhost";
+    description.cores = 1;
+    auto pilot = manager.submit_pilot(description);
+    ASSERT_TRUE(pilot.ok()) << pilot.status().to_string();
+    pilots.push_back(pilot.take());
+  }
+  auto active = [&pilots] {
+    std::vector<std::size_t> indices;
+    for (std::size_t i = 0; i < pilots.size(); ++i) {
+      if (pilots[i]->state() == PilotState::kActive) indices.push_back(i);
+    }
+    return indices;
+  };
+  EXPECT_EQ(active(), (std::vector<std::size_t>{0, 1}));
+  for (std::size_t i = 2; i < pilots.size(); ++i) {
+    EXPECT_EQ(pilots[i]->state(), PilotState::kPendingQueue) << i;
+  }
+
+  ASSERT_TRUE(manager.cancel(pilots[3]).is_ok());
+  EXPECT_EQ(pilots[3]->state(), PilotState::kCanceled);
+
+  const std::vector<std::size_t> order = {0, 1, 2, 4, 5};
+  const std::vector<std::vector<std::size_t>> active_after = {
+      {1, 2}, {2, 4}, {4, 5}, {5}, {}};
+  for (std::size_t step = 0; step < order.size(); ++step) {
+    ASSERT_TRUE(manager.deallocate(pilots[order[step]]).is_ok());
+    EXPECT_EQ(pilots[order[step]]->state(), PilotState::kDone);
+    EXPECT_EQ(active(), active_after[step]) << "after pilot " << order[step];
+  }
+  EXPECT_EQ(pilots[3]->state(), PilotState::kCanceled);
 }
 
 class LocalBackendTest : public ::testing::Test {

@@ -269,6 +269,35 @@ TEST_F(SimPilotTest, DeallocateCancelsWaitingUnits) {
   EXPECT_EQ(units.value()[1]->state(), UnitState::kCanceled);
 }
 
+TEST_F(SimPilotTest, CancelAndDeallocateReturnTheClusterCores) {
+  PilotManager manager(backend_);
+  PilotDescription description;
+  description.resource = "localhost";
+  description.cores = 4;
+  description.runtime = 100000.0;
+  auto cancelled = manager.submit_pilot(description);
+  auto deallocated = manager.submit_pilot(description);
+  ASSERT_TRUE(cancelled.ok());
+  ASSERT_TRUE(deallocated.ok());
+  ASSERT_TRUE(manager.wait_active(cancelled.value()).is_ok());
+  ASSERT_TRUE(manager.wait_active(deallocated.value()).is_ok());
+  sim::Cluster& cluster = backend_.cluster();
+  EXPECT_EQ(cluster.free_cores(), cluster.total_cores() - 8);
+
+  ASSERT_TRUE(manager.cancel(cancelled.value()).is_ok());
+  EXPECT_EQ(cancelled.value()->state(), PilotState::kCanceled);
+  EXPECT_EQ(manager.cancel(cancelled.value()).code(),
+            Errc::kFailedPrecondition);
+  ASSERT_TRUE(manager.deallocate(deallocated.value()).is_ok());
+  EXPECT_EQ(deallocated.value()->state(), PilotState::kDone);
+
+  // Draining the engine fires no walltime expiry on either container.
+  backend_.engine().run();
+  EXPECT_EQ(cancelled.value()->state(), PilotState::kCanceled);
+  EXPECT_EQ(deallocated.value()->state(), PilotState::kDone);
+  EXPECT_EQ(cluster.free_cores(), cluster.total_cores());
+}
+
 TEST_F(SimPilotTest, PilotValidation) {
   PilotManager manager(backend_);
   PilotDescription wrong_machine;

@@ -192,8 +192,7 @@ FileReport lint_file(const fs::path& path, const fs::path& relative) {
       add(t.line, "raw-clock",
           t.text +
               "::now() is banned outside common/clock.hpp; stamp time "
-              "through entk::Clock (or steady_deadline_after for "
-              "CondVar deadlines)");
+              "through entk::Clock");
       continue;
     }
 
