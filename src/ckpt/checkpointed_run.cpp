@@ -41,8 +41,11 @@ Result<CheckpointedRunResult> run_workload_with_checkpoints(
                             ": snapshot was taken from a different "
                             "workload than the one passed to --resume");
     }
-    // The allocate() below must replay the original pilot uids.
-    reset_uid_counters_for_testing();
+    // The allocate() below must replay the original pilot uids. Only
+    // the unnamed session's own families rewind: other sessions in
+    // this process keep drawing fresh uids.
+    reset_uid_counters_with_prefix("unit");
+    reset_uid_counters_with_prefix("pilot");
   }
 
   auto pattern = core::build_pattern(spec);

@@ -20,6 +20,24 @@ namespace {
 /// Message prefix of the deliberate checkpoint-stop status.
 constexpr const char* kStopPrefix = "checkpoint:";
 
+using UidCounters = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// The counters of `session`'s own uid families: "<name>.*" for a
+/// named session, exactly "unit" and "pilot" for the unnamed one. A
+/// snapshot captures and restores only these, so resuming one session
+/// never rewinds another's uids.
+UidCounters session_families(UidCounters counters,
+                             const std::string& session) {
+  std::erase_if(counters, [&session](const auto& entry) {
+    const std::string& prefix = entry.first;
+    if (session.empty()) return prefix != "unit" && prefix != "pilot";
+    return !(prefix.starts_with(session) &&
+             prefix.size() > session.size() &&
+             prefix[session.size()] == '.');
+  });
+  return counters;
+}
+
 std::string snapshot_basename(std::uint64_t index) {
   std::ostringstream name;
   name << "ckpt-" << std::setw(6) << std::setfill('0') << index
@@ -140,17 +158,8 @@ Result<Snapshot> Coordinator::capture() {
 
   sim::Engine& engine = backend_.engine();
   snap.engine_now = engine.now();
-  snap.uid_counters = snapshot_uid_counters();
-  if (!snap.session.empty()) {
-    // A named session's snapshot carries only its own uid families
-    // ("<name>.unit", "<name>.pilot", ...): restoring it while other
-    // sessions keep running must not capture — let alone later stomp —
-    // their counters.
-    const std::string dotted = snap.session + ".";
-    std::erase_if(snap.uid_counters, [&dotted](const auto& entry) {
-      return entry.first.compare(0, dotted.size(), dotted) != 0;
-    });
-  }
+  snap.uid_counters =
+      session_families(snapshot_uid_counters(), snap.session);
 
   pilot::UnitManager* manager = session_.unit_manager();
   const std::vector<pilot::ComputeUnitPtr> units = plugin_->all_units();
@@ -259,9 +268,9 @@ Status Coordinator::restore_runtime(const Snapshot& snap) {
           Errc::kFailedPrecondition,
           "pilot uid replay diverged (" + pilots[i]->uid() + " vs " +
               snap.pilots[i].uid +
-              "): reset the uid counters (reset_uid_counters_with_prefix "
-              "for a named session) before allocate() when resuming "
-              "in-process");
+              "): reset the session's uid families "
+              "(reset_uid_counters_with_prefix) before allocate() when "
+              "resuming in-process");
     }
     auto* agent = dynamic_cast<pilot::SimAgent*>(pilots[i]->agent());
     if (agent == nullptr || !agent->started()) {
@@ -297,19 +306,17 @@ Status Coordinator::restore_runtime(const Snapshot& snap) {
                       "the snapshot taken past a pilot walltime?)");
   }
   engine.restore_now(snap.engine_now);
-  restore_uid_counters(snap.uid_counters);
+  restore_uid_counters(session_families(snap.uid_counters, snap.session));
 
-  // Recreate every unit and re-register it with the unit manager.
+  // The unit manager rebuilds every unit it managed.
   pilot::UnitManager* manager = session_.unit_manager();
   units_by_uid_.clear();
   std::vector<pilot::ComputeUnitPtr> ordered;
   ordered.reserve(snap.units.size());
   for (const auto& record : snap.units) {
-    auto unit = std::make_shared<pilot::ComputeUnit>(
-        record.uid, record.description, backend_.clock(),
-        manager->session_ordinal());
-    unit->restore_state(record.state);
-    manager->restore_unit(unit, record.settled, record.notified);
+    auto unit = manager->restore_unit(record.uid, record.description,
+                                      record.state, record.settled,
+                                      record.notified);
     units_by_uid_.emplace(record.uid, unit);
     ordered.push_back(std::move(unit));
   }
@@ -407,23 +414,29 @@ Result<bool> Coordinator::prepare_run(core::TaskGraph& graph,
                       "checkpointing requires the standard execution "
                       "plugin");
   }
+  const bool resuming = pending_resume_.has_value();
+  if (resuming) {
+    PendingResume resume = std::move(*pending_resume_);
+    pending_resume_.reset();
+    // Regrow the adaptive generations first, then inject the runtime
+    // state over the fully replayed graph.
+    ENTK_RETURN_IF_ERROR(
+        runner.replay_expander_log(resume.graph.expander_log));
+    runner.restore_state(resume.graph,
+                         [this](const std::string& uid)
+                             -> pilot::ComputeUnitPtr {
+                           const auto it = units_by_uid_.find(uid);
+                           return it == units_by_uid_.end() ? nullptr
+                                                            : it->second;
+                         });
+    plugin->restore_state(resume.pattern_overhead,
+                          std::move(resume.units));
+  }
+  // Watched only once nothing can refuse the run: a refused run gets no
+  // on_graph_run_end, and its executor dies right away.
   runner_ = &runner;
   plugin_ = plugin;
-  if (!pending_resume_.has_value()) return false;
-  PendingResume resume = std::move(*pending_resume_);
-  pending_resume_.reset();
-  // Regrow the adaptive generations first, then inject the runtime
-  // state over the fully replayed graph.
-  ENTK_RETURN_IF_ERROR(runner.replay_expander_log(resume.graph.expander_log));
-  runner.restore_state(resume.graph,
-                       [this](const std::string& uid)
-                           -> pilot::ComputeUnitPtr {
-                         const auto it = units_by_uid_.find(uid);
-                         return it == units_by_uid_.end() ? nullptr
-                                                          : it->second;
-                       });
-  plugin->restore_state(resume.pattern_overhead, std::move(resume.units));
-  return true;
+  return resuming;
 }
 
 void Coordinator::on_graph_run_end(core::GraphExecutor& runner,

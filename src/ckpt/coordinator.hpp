@@ -13,10 +13,10 @@
 // engine events and uid counters, and publishes it crash-consistently.
 //
 // Restore is the mirror image (see restore_runtime): the caller resets
-// the uid counters, rebuilds the same backend + handle and calls
-// allocate() — which deterministically replays pilot creation, so the
-// pilot uids and walltime events match the original run — then the
-// coordinator injects the captured state and reposts the captured
+// the session's uid families, rebuilds the same backend + handle and
+// calls allocate() — which deterministically replays pilot creation,
+// so the pilot uids and walltime events match the original run — then
+// the coordinator injects the captured state and reposts the captured
 // pending events globally sorted by their original (time, seq). The
 // resumed run's remaining schedule is then bit-identical to the
 // uninterrupted run (tests/checkpoint_restart_test.cpp pins this).
@@ -98,11 +98,12 @@ class Coordinator final : public core::GraphRunObserver {
   /// uid counters, units, unit manager, agents and fault model, and
   /// reposts the captured pending events. The session's next run of a
   /// pattern with this coordinator attached as graph-run observer then
-  /// resumes instead of starting over. The caller must have reset the uid
-  /// counters BEFORE allocate() so the pilot uid replay matches the
-  /// snapshot: reset_uid_counters_with_prefix(session name) for a
-  /// named session (which cannot stomp other live sessions), or
-  /// reset_uid_counters_for_testing() for the legacy unnamed one.
+  /// resumes instead of starting over. The caller must have reset the
+  /// session's uid families BEFORE allocate() so the pilot uid replay
+  /// matches the snapshot, with reset_uid_counters_with_prefix: the
+  /// session name for a named session, "unit" and "pilot" for the
+  /// unnamed one. Other sessions' counters are neither reset, captured
+  /// nor restored.
   Status restore_runtime(const Snapshot& snapshot);
 
   // --- GraphRunObserver ---

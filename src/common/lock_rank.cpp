@@ -33,8 +33,6 @@ const char* lock_rank_name(LockRank rank) {
       return "kComputeUnit";
     case LockRank::kUidRegistry:
       return "kUidRegistry";
-    case LockRank::kMetricsRegistry:
-      return "kMetricsRegistry";
     case LockRank::kSessionRegistry:
       return "kSessionRegistry";
     case LockRank::kTraceRecorder:

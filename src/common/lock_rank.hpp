@@ -5,7 +5,7 @@
 // every ranked lock it already holds. Ranks therefore encode the
 // global lock-order DAG as one number per lock: outermost
 // (orchestration) locks get the lowest ranks, leaf locks that may be
-// taken under anything (logging, tracing, metrics interning) get the
+// taken under anything (logging, tracing, name interning) get the
 // highest. The table below is the single source of truth; it is
 // cross-checked from two sides:
 //
@@ -42,7 +42,6 @@ enum class LockRank : int {
   kBackendTimers = 60,    ///< pilot::LocalBackend::timers_mutex_
   kComputeUnit = 70,      ///< pilot::ComputeUnit::mutex_
   kUidRegistry = 85,      ///< uid.cpp source registry
-  kMetricsRegistry = 90,  ///< obs::Metrics::names_mutex_
   kSessionRegistry = 91,  ///< obs trace session-name interning
   kTraceRecorder = 92,    ///< obs::TraceRecorder::mutex_
   kLogger = 95,           ///< Logger::mutex_ (log under anything)

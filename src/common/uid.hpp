@@ -30,7 +30,7 @@ std::string next_uid(const std::string& prefix);
 /// construction, so each next() is a single relaxed atomic increment —
 /// no lock, no map lookup, no per-call prefix copy. Shares the same
 /// process-global counter as next_uid(prefix), and stays valid across
-/// reset_uid_counters_for_testing() (which zeroes counters in place).
+/// the resets below (which zero counters in place).
 class UidSource {
  public:
   explicit UidSource(std::string prefix);
@@ -61,7 +61,7 @@ std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters();
 
 /// Restores counter values from a snapshot (creating missing prefixes).
 /// Prefixes absent from the snapshot are left untouched; callers that
-/// need a clean slate should reset_uid_counters_for_testing() first.
+/// need a clean slate reset the families they restore first.
 void restore_uid_counters(
     const std::vector<std::pair<std::string, std::uint64_t>>& snapshot);
 

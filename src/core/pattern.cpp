@@ -6,74 +6,7 @@
 #include <string>
 #include <utility>
 
-#include "core/graph_executor.hpp"
-
 namespace entk::core {
-
-ExecutionPattern::GraphRun::GraphRun() = default;
-ExecutionPattern::GraphRun::~GraphRun() = default;
-
-bool ExecutionPattern::GraphRun::finished() const {
-  if (runner_ == nullptr) return false;
-  return start_failed_ || runner_->finished();
-}
-
-// The one orchestration path shared by every pattern: validate,
-// compile to an explicit TaskGraph, hand the graph to the event-driven
-// executor. Patterns never touch the runtime directly — all waiting,
-// failure policy and retry bookkeeping lives outside them. Split into
-// a non-blocking start and a finish so the caller owns the wait and
-// Runtime::run_concurrent can interleave N patterns' graphs under one
-// backend drive.
-Status ExecutionPattern::start_execute(GraphRun& run,
-                                       PatternExecutor& executor,
-                                       bool deferred) {
-  ENTK_CHECK(!run.active(), "GraphRun is already executing a pattern");
-  ENTK_RETURN_IF_ERROR(validate());
-  auto graph = std::make_unique<TaskGraph>();
-  ENTK_RETURN_IF_ERROR(compile(*graph));
-  auto runner = std::make_unique<GraphExecutor>(*graph, executor, deferred);
-  bool resuming = false;
-  if (graph_run_observer_ != nullptr) {
-    auto prepared =
-        graph_run_observer_->prepare_run(*graph, *runner, executor);
-    if (!prepared.ok()) return prepared.status();
-    resuming = prepared.value();
-  }
-  const Status started =
-      resuming ? runner->start_resumed() : runner->start();
-  if (!started.is_ok()) {
-    // The run is over before it began; finish_execute reports this to
-    // the observer, matching the old single-call error flow.
-    run.start_failed_ = true;
-    run.start_error_ = started;
-  }
-  run.graph_ = std::move(graph);
-  run.runner_ = std::move(runner);
-  return Status::ok();
-}
-
-Status ExecutionPattern::finish_execute(GraphRun& run, Status driven) {
-  ENTK_CHECK(run.active(), "finish_execute without a started GraphRun");
-  run.runner_->unsubscribe();
-  Status outcome;
-  if (run.start_failed_) {
-    outcome = run.start_error_;
-  } else if (!driven.is_ok()) {
-    outcome = driven;
-  } else {
-    outcome = run.runner_->outcome();
-  }
-  if (graph_run_observer_ != nullptr) {
-    graph_run_observer_->on_graph_run_end(*run.runner_, outcome);
-  }
-  on_graph_executed();
-  run.runner_.reset();
-  run.graph_.reset();
-  run.start_failed_ = false;
-  run.start_error_ = Status::ok();
-  return outcome;
-}
 
 // --------------------------------------------------------------- BagOfTasks
 

@@ -63,7 +63,7 @@ class GraphRunObserver {
   virtual ~GraphRunObserver() = default;
 
   /// Called after compile(), before the run starts. Return true to
-  /// continue a restored run (the pattern then starts the runner with
+  /// continue a restored run (the session then starts the runner with
   /// start_resumed() instead of start()); the observer must have
   /// replayed the expander log and injected the saved state first.
   virtual Result<bool> prepare_run(TaskGraph& graph, GraphExecutor& runner,
@@ -83,6 +83,9 @@ class GraphRunObserver {
   }
 };
 
+/// A pattern only describes and compiles itself: the Session that runs
+/// it calls validate() and compile(), consults the observer, starts the
+/// GraphExecutor and, once the run settled, calls on_graph_executed().
 class ExecutionPattern {
  public:
   virtual ~ExecutionPattern() = default;
@@ -98,55 +101,6 @@ class ExecutionPattern {
   /// generation when the graph quiesces. Clears the pattern's unit
   /// accessors; they repopulate as the graph submits.
   virtual Status compile(TaskGraph& graph) = 0;
-
-  /// One in-flight graph run, owned by the caller between
-  /// start_execute() and finish_execute(). Opaque apart from
-  /// finished(); the caller drives the backend in between, so N
-  /// sessions' patterns can run concurrently under one backend wait
-  /// (Runtime::run_concurrent).
-  class GraphRun {
-   public:
-    GraphRun();
-    ~GraphRun();
-    GraphRun(const GraphRun&) = delete;
-    GraphRun& operator=(const GraphRun&) = delete;
-
-    /// Whether the underlying graph run finished (false before
-    /// start_execute succeeded).
-    bool finished() const;
-    /// Whether start_execute succeeded and finish_execute has not run.
-    bool active() const { return runner_ != nullptr; }
-    /// The underlying executor; nullptr unless active(). entk-serve
-    /// drives a held-dispatch run through it.
-    GraphExecutor* executor() { return runner_.get(); }
-
-   private:
-    friend class ExecutionPattern;
-    std::unique_ptr<TaskGraph> graph_;
-    std::unique_ptr<GraphExecutor> runner_;
-    /// The runner refused to start (graph validation): the run is
-    /// finished on arrival and finish_execute reports this status.
-    bool start_failed_ = false;
-    Status start_error_;
-  };
-
-  /// Non-blocking front half of a run: validate, compile into `run`
-  /// (an explicit TaskGraph run by the event-driven GraphExecutor),
-  /// consult the observer, and start the graph (initial frontier
-  /// submitted, settled events subscribed). On error the run stays
-  /// inactive and finish_execute must not be called. With `deferred`
-  /// the executor holds dispatch: even the initial frontier only lands
-  /// in the pending batch, so the driver (entk-serve's fair-share
-  /// scheduler) decides every submission.
-  Status start_execute(GraphRun& run, PatternExecutor& executor,
-                       bool deferred = false);
-
-  /// Back half: `driven` is the caller's drive_until verdict. Detaches
-  /// the executor, resolves the outcome (the first error: submission
-  /// or task failure filtered through the failure rules, or the drive
-  /// verdict), fires the observer end hook and on_graph_executed(),
-  /// and deactivates `run`.
-  Status finish_execute(GraphRun& run, Status driven);
 
   /// Pattern-level failure semantics, compiled into the graph's stage
   /// and chain scopes. Composite patterns (SequencePattern,
@@ -169,6 +123,9 @@ class ExecutionPattern {
 
   FailureRules failure_rules_;
   GraphRunObserver* graph_run_observer_ = nullptr;
+
+ private:
+  friend class Session;
 };
 
 // ---------------------------------------------------------------------------

@@ -159,26 +159,37 @@ Status Session::start_run(ExecutionPattern& pattern, bool deferred) {
   obs::ScopedTraceClock trace_clock(backend().clock());
   run->started = backend().clock().now();
   ENTK_TRACE_SPAN_BEGIN_S("run", "core", 0, 0, trace_ordinal_);
-  const Status started = pattern.start_execute(run->graph_run,
-                                               *run->plugin, deferred);
-  if (!started.is_ok()) {
-    // Same contract as the blocking run(): pattern-level refusals are
-    // the run's *outcome*, not a session error.
-    run->start_failed = true;
-    run->start_error = started;
-  }
+  // Same contract as the blocking run(): pattern-level refusals are
+  // the run's *outcome*, not a session error.
+  run->start_error = start_graph(*run, deferred);
   active_run_ = std::move(run);
   return Status::ok();
 }
 
+Status Session::start_graph(ActiveRun& run, bool deferred) {
+  ExecutionPattern& pattern = *run.pattern;
+  ENTK_RETURN_IF_ERROR(pattern.validate());
+  ENTK_RETURN_IF_ERROR(pattern.compile(run.graph));
+  auto executor =
+      std::make_unique<GraphExecutor>(run.graph, *run.plugin, deferred);
+  bool resuming = false;
+  if (GraphRunObserver* observer = pattern.graph_run_observer_) {
+    ENTK_ASSIGN_OR_RETURN(
+        resuming, observer->prepare_run(run.graph, *executor, *run.plugin));
+  }
+  // From here on the run fires its end hooks, even if start() fails.
+  run.executor = std::move(executor);
+  return resuming ? run.executor->start_resumed() : run.executor->start();
+}
+
 bool Session::run_finished() const {
   if (active_run_ == nullptr) return false;
-  return active_run_->start_failed || active_run_->graph_run.finished();
+  return !active_run_->start_error.is_ok() ||
+         active_run_->executor->finished();
 }
 
 GraphExecutor* Session::run_executor() {
-  if (active_run_ == nullptr || active_run_->start_failed) return nullptr;
-  return active_run_->graph_run.executor();
+  return active_run_ == nullptr ? nullptr : active_run_->executor.get();
 }
 
 Status Session::cancel_run() {
@@ -186,12 +197,10 @@ Status Session::cancel_run() {
     return make_error(Errc::kFailedPrecondition,
                       "session has no run in flight");
   }
-  if (active_run_->start_failed) return Status::ok();  // born finished
-  GraphExecutor* executor = active_run_->graph_run.executor();
-  if (executor == nullptr || executor->finished()) return Status::ok();
+  if (run_finished()) return Status::ok();
   obs::ScopedTraceClock trace_clock(backend().clock());
   ENTK_TRACE_INSTANT("run.cancel", "core");
-  const auto inflight = executor->cancel(make_error(
+  const auto inflight = active_run_->executor->cancel(make_error(
       Errc::kCancelled,
       "session \"" + (name_.empty() ? std::string("<unnamed>") : name_) +
           "\": run cancelled"));
@@ -208,12 +217,22 @@ Result<RunReport> Session::finish_run(Status driven) {
   }
   const std::unique_ptr<ActiveRun> run = std::move(active_run_);
   obs::ScopedTraceClock trace_clock(backend().clock());
-  Status outcome;
-  if (run->start_failed) {
-    outcome = run->start_error;
-  } else {
-    outcome = run->pattern->finish_execute(run->graph_run,
-                                           std::move(driven));
+  // The first error: the start refusal, the drive verdict, or the
+  // graph's own verdict (task failures through the failure rules).
+  Status outcome = run->start_error;
+  if (run->executor != nullptr) {
+    run->executor->unsubscribe();
+    if (outcome.is_ok()) {
+      outcome = driven.is_ok() ? run->executor->outcome() : driven;
+    }
+    if (GraphRunObserver* observer = run->pattern->graph_run_observer_) {
+      observer->on_graph_run_end(*run->executor, outcome);
+    }
+    run->pattern->on_graph_executed();
+    // Building the report is the run's memory peak: free the executor
+    // and the graph first.
+    run->executor.reset();
+    run->graph = TaskGraph();
   }
   const TimePoint finished = backend().clock().now();
   ENTK_TRACE_SPAN_END_S("run", "core", 0, 0, trace_ordinal_);
@@ -324,17 +343,6 @@ std::shared_ptr<Session> Runtime::find_session(
     if (session != nullptr && session->name() == name) return session;
   }
   return nullptr;
-}
-
-std::vector<std::shared_ptr<Session>> Runtime::sessions() const {
-  MutexLock lock(mutex_);
-  std::vector<std::shared_ptr<Session>> live;
-  live.reserve(sessions_.size());
-  for (const auto& weak : sessions_) {
-    std::shared_ptr<Session> session = weak.lock();
-    if (session != nullptr) live.push_back(std::move(session));
-  }
-  return live;
 }
 
 Result<std::vector<RunReport>> Runtime::run_concurrent(

@@ -116,8 +116,6 @@ class Session : public std::enable_shared_from_this<Session> {
   Session& operator=(const Session&) = delete;
 
   const std::string& name() const { return name_; }
-  /// Trace/session ordinal (obs::session_ordinal); 0 for unnamed.
-  std::uint32_t trace_ordinal() const { return trace_ordinal_; }
 
   /// Submits this session's pilots and waits for them to come up.
   Status allocate();
@@ -154,8 +152,8 @@ class Session : public std::enable_shared_from_this<Session> {
   /// builds the report.
   Result<RunReport> finish_run(Status driven);
   /// The in-flight run's graph executor; nullptr when no run is
-  /// active or the run failed to start. entk-serve drives a held-
-  /// dispatch run through it.
+  /// active or the pattern or its observer refused the run. entk-serve
+  /// drives a held-dispatch run through it.
   GraphExecutor* run_executor();
   /// Cancels an in-flight run: aborts the graph (unsubmitted nodes
   /// are swept to skipped) and cancels the units still in flight
@@ -187,17 +185,24 @@ class Session : public std::enable_shared_from_this<Session> {
   friend class Runtime;
   Session(Runtime& runtime, SessionOptions options);
 
-  /// One in-flight pattern run.
+  /// One in-flight pattern run. The plugin is declared first so the
+  /// executor, which references it and the graph, dies before both.
   struct ActiveRun {
     ExecutionPattern* pattern = nullptr;
     std::unique_ptr<ExecutionPlugin> plugin;
-    ExecutionPattern::GraphRun graph_run;
+    TaskGraph graph;
+    /// Null when the pattern or its observer refused the run before it
+    /// could start; finish_run then fires no end hook.
+    std::unique_ptr<GraphExecutor> executor;
     TimePoint started = 0.0;
-    /// The pattern refused to start (validation, compile, observer):
-    /// the run is finished on arrival and finish_run reports this.
-    bool start_failed = false;
+    /// Not ok when the run was refused or its start() failed: the run
+    /// is finished on arrival and finish_run reports this.
     Status start_error;
   };
+
+  /// validate -> compile -> build the executor -> prepare_run ->
+  /// start() (or start_resumed()); returns the first refusal.
+  Status start_graph(ActiveRun& run, bool deferred);
 
   pilot::ExecutionBackend& backend() const;
 
@@ -232,10 +237,6 @@ class Runtime {
 
   /// The live session with this name, or nullptr.
   std::shared_ptr<Session> find_session(const std::string& name) const
-      ENTK_EXCLUDES(mutex_);
-
-  /// Sessions still alive, in creation order.
-  std::vector<std::shared_ptr<Session>> sessions() const
       ENTK_EXCLUDES(mutex_);
 
   /// One entry of a concurrent run: an allocated session and the

@@ -74,65 +74,12 @@ Metrics& Metrics::instance() {
   return *metrics;
 }
 
-Counter& Metrics::counter(std::string_view name) {
-  {
-    SharedReaderLock lock(names_mutex_);
-    auto it = dynamic_counters_.find(name);
-    if (it != dynamic_counters_.end()) return it->second;
-  }
-  SharedMutexLock lock(names_mutex_);
-  return dynamic_counters_[std::string(name)];
-}
-
-Gauge& Metrics::gauge(std::string_view name) {
-  {
-    SharedReaderLock lock(names_mutex_);
-    auto it = dynamic_gauges_.find(name);
-    if (it != dynamic_gauges_.end()) return it->second;
-  }
-  SharedMutexLock lock(names_mutex_);
-  return dynamic_gauges_[std::string(name)];
-}
-
-Histogram& Metrics::histogram(std::string_view name) {
-  {
-    SharedReaderLock lock(names_mutex_);
-    auto it = dynamic_histograms_.find(name);
-    if (it != dynamic_histograms_.end()) return it->second;
-  }
-  SharedMutexLock lock(names_mutex_);
-  return dynamic_histograms_[std::string(name)];
-}
-
-const char* Metrics::counter_name(WellKnownCounter id) {
-  return kCounterNames[static_cast<std::size_t>(id)];
-}
-const char* Metrics::gauge_name(WellKnownGauge id) {
-  return kGaugeNames[static_cast<std::size_t>(id)];
-}
-const char* Metrics::histogram_name(WellKnownHistogram id) {
-  return kHistogramNames[static_cast<std::size_t>(id)];
-}
-
 std::vector<std::string> Metrics::names() const {
   std::vector<std::string> names;
   for (const char* name : kCounterNames) names.emplace_back(name);
   for (const char* name : kGaugeNames) names.emplace_back(name);
   for (const char* name : kHistogramNames) names.emplace_back(name);
-  {
-    SharedReaderLock lock(names_mutex_);
-    for (const auto& entry : dynamic_counters_) {
-      names.push_back(entry.first);
-    }
-    for (const auto& entry : dynamic_gauges_) {
-      names.push_back(entry.first);
-    }
-    for (const auto& entry : dynamic_histograms_) {
-      names.push_back(entry.first);
-    }
-  }
   std::sort(names.begin(), names.end());
-  names.erase(std::unique(names.begin(), names.end()), names.end());
   return names;
 }
 
@@ -155,20 +102,6 @@ std::string Metrics::to_text() const {
         << name << ".p50 " << histogram.quantile(0.5) << "\n"
         << name << ".p99 " << histogram.quantile(0.99) << "\n";
   }
-  SharedReaderLock lock(names_mutex_);
-  for (const auto& [name, counter] : dynamic_counters_) {
-    out << name << " " << counter.get() << "\n";
-  }
-  for (const auto& [name, gauge] : dynamic_gauges_) {
-    out << name << " " << gauge.get() << "\n";
-  }
-  for (const auto& [name, histogram] : dynamic_histograms_) {
-    out << name << ".count " << histogram.count() << "\n"
-        << name << ".sum " << histogram.sum() << "\n"
-        << name << ".mean " << histogram.mean() << "\n"
-        << name << ".p50 " << histogram.quantile(0.5) << "\n"
-        << name << ".p99 " << histogram.quantile(0.99) << "\n";
-  }
   return out.str();
 }
 
@@ -182,13 +115,6 @@ std::string Metrics::to_json() const {
         << counter.get();
     separator = ",";
   }
-  {
-    SharedReaderLock lock(names_mutex_);
-    for (const auto& [name, counter] : dynamic_counters_) {
-      out << separator << "\n    \"" << name << "\": " << counter.get();
-      separator = ",";
-    }
-  }
   out << "\n  },\n  \"gauges\": {";
   i = 0;
   separator = "";
@@ -196,13 +122,6 @@ std::string Metrics::to_json() const {
     out << separator << "\n    \"" << kGaugeNames[i++] << "\": "
         << gauge.get();
     separator = ",";
-  }
-  {
-    SharedReaderLock lock(names_mutex_);
-    for (const auto& [name, gauge] : dynamic_gauges_) {
-      out << separator << "\n    \"" << name << "\": " << gauge.get();
-      separator = ",";
-    }
   }
   out << "\n  },\n  \"histograms\": {";
   i = 0;
@@ -216,18 +135,6 @@ std::string Metrics::to_json() const {
         << ", \"p99\": " << histogram.quantile(0.99) << "}";
     separator = ",";
   }
-  {
-    SharedReaderLock lock(names_mutex_);
-    for (const auto& [name, histogram] : dynamic_histograms_) {
-      out << separator << "\n    \"" << name << "\": {"
-          << "\"count\": " << histogram.count()
-          << ", \"sum\": " << histogram.sum()
-          << ", \"mean\": " << histogram.mean()
-          << ", \"p50\": " << histogram.quantile(0.5)
-          << ", \"p99\": " << histogram.quantile(0.99) << "}";
-      separator = ",";
-    }
-  }
   out << "\n  }\n}\n";
   return out.str();
 }
@@ -236,10 +143,6 @@ void Metrics::reset() {
   for (auto& counter : counters_) counter.reset();
   for (auto& gauge : gauges_) gauge.reset();
   for (auto& histogram : histograms_) histogram.reset();
-  SharedMutexLock lock(names_mutex_);
-  for (auto& entry : dynamic_counters_) entry.second.reset();
-  for (auto& entry : dynamic_gauges_) entry.second.reset();
-  for (auto& entry : dynamic_histograms_) entry.second.reset();
 }
 
 bool tracing_compiled_in() { return ENTK_ENABLE_TRACING != 0; }

@@ -1,23 +1,18 @@
 // Process-wide metrics: named counters, gauges, log2 histograms.
 //
-// Hot-path updates are single relaxed atomic operations. Well-known
-// metrics (the X-macro tables below) resolve to an array index at
-// compile time, so instrumented code pays no name lookup; dynamic
-// metrics intern their name once under a SharedMutex and hand back a
-// stable reference. Snapshots (to_text/to_json) are approximate under
-// concurrent updates, exact when quiescent. See docs/OBSERVABILITY.md.
+// Hot-path updates are single relaxed atomic operations. Every metric
+// is named at compile time (the X-macro tables below) and resolves to
+// an array index, so instrumented code pays no name lookup and the
+// registry takes no lock. Snapshots (to_text/to_json) are approximate
+// under concurrent updates, exact when quiescent. See
+// docs/OBSERVABILITY.md.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
-
-#include "common/mutex.hpp"
-#include "common/thread_annotations.hpp"
 
 // clang-format off
 /// Monotone event counts, one per instrumented runtime site.
@@ -144,28 +139,16 @@ class Metrics {
     return histograms_[static_cast<std::size_t>(id)];
   }
 
-  /// Dynamic metrics: interned by name on first use (one exclusive
-  /// lock), then a shared-lock lookup per call. Cache the reference
-  /// in hot code.
-  Counter& counter(std::string_view name) ENTK_EXCLUDES(names_mutex_);
-  Gauge& gauge(std::string_view name) ENTK_EXCLUDES(names_mutex_);
-  Histogram& histogram(std::string_view name)
-      ENTK_EXCLUDES(names_mutex_);
-
-  static const char* counter_name(WellKnownCounter id);
-  static const char* gauge_name(WellKnownGauge id);
-  static const char* histogram_name(WellKnownHistogram id);
-
-  /// Every registered metric name (well-known + dynamic), sorted.
-  std::vector<std::string> names() const ENTK_EXCLUDES(names_mutex_);
+  /// Every metric name, sorted.
+  std::vector<std::string> names() const;
 
   /// `name value` lines (histograms add count/sum/mean/p50/p99).
-  std::string to_text() const ENTK_EXCLUDES(names_mutex_);
-  std::string to_json() const ENTK_EXCLUDES(names_mutex_);
+  std::string to_text() const;
+  std::string to_json() const;
 
-  /// Zeroes every metric (dynamic ones stay registered). Test/bench
-  /// hook; not synchronized against concurrent updates.
-  void reset() ENTK_EXCLUDES(names_mutex_);
+  /// Zeroes every metric. Test/bench hook; not synchronized against
+  /// concurrent updates.
+  void reset();
 
  private:
   Metrics() = default;
@@ -178,16 +161,6 @@ class Metrics {
   std::array<Histogram,
              static_cast<std::size_t>(WellKnownHistogram::kCount)>
       histograms_;
-
-  mutable SharedMutex names_mutex_{LockRank::kMetricsRegistry};
-  // std::map nodes are pointer-stable, so returned references survive
-  // later insertions.
-  std::map<std::string, Counter, std::less<>> dynamic_counters_
-      ENTK_GUARDED_BY(names_mutex_);
-  std::map<std::string, Gauge, std::less<>> dynamic_gauges_
-      ENTK_GUARDED_BY(names_mutex_);
-  std::map<std::string, Histogram, std::less<>> dynamic_histograms_
-      ENTK_GUARDED_BY(names_mutex_);
 };
 
 /// True when the translation units of the runtime were compiled with

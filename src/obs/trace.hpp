@@ -91,15 +91,11 @@ class TraceRecorder {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Timestamp source; nullptr restores the built-in wall clock. The
-  /// pointee must outlive the installation (see ScopedTraceClock).
-  void set_clock(const Clock* clock) {
-    clock_.store(clock, std::memory_order_release);
-  }
-
-  /// Installs `clock` and returns the previous source, so nested
-  /// installations (e.g. ResourceHandle::run inside a traced driver)
-  /// can restore rather than clobber.
+  /// Installs timestamp source `clock` (nullptr = the built-in wall
+  /// clock) and returns the previous one, so nested installations (e.g.
+  /// ResourceHandle::run inside a traced driver) can restore rather than
+  /// clobber. The pointee must outlive the installation (see
+  /// ScopedTraceClock).
   const Clock* exchange_clock(const Clock* clock) {
     return clock_.exchange(clock, std::memory_order_acq_rel);
   }

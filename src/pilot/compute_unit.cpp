@@ -2,16 +2,21 @@
 
 #include "common/log.hpp"
 #include "obs/trace.hpp"
+#include "pilot/unit_manager.hpp"
 
 namespace entk::pilot {
 
 ComputeUnit::ComputeUnit(std::string uid, UnitDescription description,
-                         const Clock& clock, std::uint32_t session_ordinal)
+                         const Clock& clock, std::uint32_t session_ordinal,
+                         UnitManager* manager,
+                         std::shared_ptr<CallbackGate> gate)
     : uid_(std::move(uid)),
       description_(std::move(description)),
       clock_(clock),
       trace_flow_(obs::trace_flow_id(uid_)),
-      session_ordinal_(session_ordinal) {}
+      session_ordinal_(session_ordinal),
+      manager_(manager),
+      gate_(std::move(gate)) {}
 
 UnitState ComputeUnit::state() const {
   MutexLock lock(mutex_);
@@ -60,33 +65,7 @@ Duration ComputeUnit::execution_time() const {
   return exec_stopped_at_ - exec_started_at_;
 }
 
-void ComputeUnit::on_state_change(Callback callback) {
-  MutexLock lock(mutex_);
-  // A settled unit can never transition again, so the callback could
-  // never fire; retaining it would only keep its captures (often other
-  // units) alive in a reference cycle.
-  if (settled_locked()) return;
-  auto next = callbacks_ == nullptr
-                  ? std::make_shared<CallbackList>()
-                  : std::make_shared<CallbackList>(*callbacks_);
-  next->push_back(std::move(callback));
-  callbacks_ = std::move(next);
-}
-
-bool ComputeUnit::settled_locked() const {
-  switch (state_) {
-    case UnitState::kDone:
-    case UnitState::kCanceled:
-      return true;
-    case UnitState::kFailed:
-      return retries_ >= description_.retry.max_retries;
-    default:
-      return false;
-  }
-}
-
 Status ComputeUnit::advance_state(UnitState to, Status failure) {
-  std::shared_ptr<const CallbackList> callbacks;
   {
     MutexLock lock(mutex_);
     if (!is_valid_transition(state_, to)) {
@@ -142,16 +121,14 @@ Status ComputeUnit::advance_state(UnitState to, Status failure) {
                                        "unit " + uid_ + " failed")
                           : failure;
     }
-    callbacks = callbacks_;
-    // Settling is the last transition this unit will ever make: drop
-    // the observer list so callback captures (frequently shared_ptrs
-    // to sibling units, as in watch_unit exchange chains) cannot form
-    // unreclaimable reference cycles between units.
-    if (settled_locked()) callbacks_.reset();
   }
   ENTK_DEBUG("pilot.unit") << uid_ << " -> " << unit_state_name(to);
-  if (callbacks == nullptr) return Status::ok();
-  for (const auto& callback : *callbacks) callback(*this, to);
+  // Outside the lock: the manager may re-enter this unit. The gate
+  // turns the call into a no-op once the manager is being destroyed.
+  if (manager_ != nullptr && gate_->enter()) {
+    manager_->handle_state_change(*this, to);
+    gate_->exit();
+  }
   return Status::ok();
 }
 

@@ -9,10 +9,8 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "common/mutex.hpp"
@@ -22,14 +20,19 @@
 
 namespace entk::pilot {
 
+class CallbackGate;
+class UnitManager;
+
 class ComputeUnit {
  public:
-  using Callback = std::function<void(ComputeUnit&, UnitState)>;
-
   /// `session_ordinal` is obs::session_ordinal(description.session),
-  /// which the creator (a UnitManager) has already interned.
+  /// which the creator (a UnitManager) has already interned. A unit
+  /// reports each transition to `manager` through `gate`; a unit built
+  /// without a manager reports to nobody.
   ComputeUnit(std::string uid, UnitDescription description,
-              const Clock& clock, std::uint32_t session_ordinal);
+              const Clock& clock, std::uint32_t session_ordinal,
+              UnitManager* manager = nullptr,
+              std::shared_ptr<CallbackGate> gate = nullptr);
 
   const std::string& uid() const { return uid_; }
   const UnitDescription& description() const { return description_; }
@@ -68,8 +71,6 @@ class ComputeUnit {
   /// unit never executed.
   Duration execution_time() const ENTK_EXCLUDES(mutex_);
 
-  void on_state_change(Callback callback) ENTK_EXCLUDES(mutex_);
-
   // --- runtime interface (agents and unit managers only) ---
   Status advance_state(UnitState to, Status failure = Status::ok())
       ENTK_EXCLUDES(mutex_);
@@ -80,7 +81,7 @@ class ComputeUnit {
   Status reset_for_retry() ENTK_EXCLUDES(mutex_);
 
   // --- checkpoint/restart (ckpt::Coordinator only) ---
-  /// All mutable state apart from callbacks (re-wired on restore).
+  /// All mutable state.
   struct SavedState {
     UnitState state = UnitState::kNew;
     Status final_status;
@@ -93,20 +94,19 @@ class ComputeUnit {
     TimePoint finished_at = kNoTime;
   };
   SavedState save_state() const ENTK_EXCLUDES(mutex_);
-  /// Injects a saved state directly; fires no callbacks and performs no
-  /// transition validation (the snapshot was valid when taken).
+  /// Injects a saved state directly; reports nothing to the manager and
+  /// performs no transition validation (the snapshot was valid when
+  /// taken).
   void restore_state(const SavedState& saved) ENTK_EXCLUDES(mutex_);
 
  private:
-  /// Terminal with no retry budget left: no further transition (and
-  /// therefore no callback) is possible.
-  bool settled_locked() const ENTK_REQUIRES(mutex_);
-
   const std::string uid_;
   const UnitDescription description_;
   const Clock& clock_;
   const std::uint64_t trace_flow_;
   const std::uint32_t session_ordinal_;
+  UnitManager* const manager_;
+  const std::shared_ptr<CallbackGate> gate_;
 
   mutable Mutex mutex_{LockRank::kComputeUnit};
   UnitState state_ ENTK_GUARDED_BY(mutex_) = UnitState::kNew;
@@ -118,11 +118,6 @@ class ComputeUnit {
   TimePoint exec_started_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint exec_stopped_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
   TimePoint finished_at_ ENTK_GUARDED_BY(mutex_) = kNoTime;
-  /// Immutable snapshot, replaced (copy-on-write) when a callback is
-  /// added: a transition takes it by refcount instead of copying the
-  /// list, and callbacks added during a transition see only later ones.
-  using CallbackList = std::vector<Callback>;
-  std::shared_ptr<const CallbackList> callbacks_ ENTK_GUARDED_BY(mutex_);
 };
 
 using ComputeUnitPtr = std::shared_ptr<ComputeUnit>;

@@ -73,9 +73,6 @@ class SimAgent final : public Agent {
   /// Scheduler cycles run so far (profiling hook for the scale bench).
   std::uint64_t scheduler_cycles() const { return scheduler_cycles_; }
 
-  /// Trace identity: maps to a Chrome-trace pid (see src/obs).
-  std::uint32_t trace_ordinal() const { return trace_ordinal_; }
-
   // --- checkpoint/restart (ckpt::Coordinator only) ---
   /// Everything needed to rebuild this agent's dispatch state on a
   /// fresh engine. Units are referenced by uid; pending events carry

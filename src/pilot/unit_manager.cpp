@@ -47,19 +47,12 @@ Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
     description.session = session_;
     auto unit = std::make_shared<ComputeUnit>(
         unit_uids_.next(), std::move(description), backend_.clock(),
-        session_ordinal_);
+        session_ordinal_, this, gate_);
     unit->stamp_created();
     ENTK_TRACE_INSTANT_FLOW_S("unit.created", "unit", unit->trace_flow(),
                               0, session_ordinal_);
     ENTK_CHECK(unit->advance_state(UnitState::kPendingExecution).is_ok(),
                "fresh unit");
-    std::shared_ptr<CallbackGate> gate = gate_;
-    unit->on_state_change(
-        [this, gate](ComputeUnit& changed, UnitState state) {
-          if (!gate->enter()) return;
-          handle_state_change(changed, state);
-          gate->exit();
-        });
     units.push_back(std::move(unit));
   }
   {
@@ -456,11 +449,6 @@ std::size_t UnitManager::recovered_units() const {
   return recovered_units_;
 }
 
-void UnitManager::seed_retry_jitter(std::uint64_t seed) {
-  MutexLock lock(mutex_);
-  retry_rng_ = Xoshiro256(seed);
-}
-
 UnitManager::SavedState UnitManager::save_state() const {
   MutexLock lock(mutex_);
   SavedState saved;
@@ -489,24 +477,17 @@ void UnitManager::restore_state(const SavedState& saved,
   }
 }
 
-void UnitManager::restore_unit(const ComputeUnitPtr& unit, bool settled,
-                               bool notified) {
-  ENTK_CHECK(unit != nullptr, "cannot restore a null unit");
-  {
-    MutexLock lock(mutex_);
-    const bool inserted =
-        entries_.emplace(unit.get(), Entry{unit, settled, notified}).second;
-    if (inserted && !settled) ++unsettled_;
-  }
-  // Settled units refuse the callback (they can never transition
-  // again); everything else re-enters the normal retry/settle flow.
-  std::shared_ptr<CallbackGate> gate = gate_;
-  unit->on_state_change(
-      [this, gate](ComputeUnit& changed, UnitState state) {
-        if (!gate->enter()) return;
-        handle_state_change(changed, state);
-        gate->exit();
-      });
+ComputeUnitPtr UnitManager::restore_unit(
+    std::string uid, UnitDescription description,
+    const ComputeUnit::SavedState& state, bool settled, bool notified) {
+  auto unit = std::make_shared<ComputeUnit>(
+      std::move(uid), std::move(description), backend_.clock(),
+      session_ordinal_, this, gate_);
+  unit->restore_state(state);
+  MutexLock lock(mutex_);
+  entries_.emplace(unit.get(), Entry{unit, settled, notified});
+  if (!settled) ++unsettled_;
+  return unit;
 }
 
 bool UnitManager::unit_entry(const ComputeUnit* unit, bool& settled,

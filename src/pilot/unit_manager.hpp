@@ -33,14 +33,15 @@ namespace entk::pilot {
 
 /// Rundown protection for callbacks whose registrant may die first.
 ///
-/// The UnitManager registers callbacks with objects it does not own:
-/// pilots live on in the shared PilotManager after a session is torn
-/// down, and retry-backoff timers live in the backend's engine. Each
-/// such callback captures a shared_ptr to its manager's gate and brackets
-/// its body with enter()/exit(); the manager's destructor close()s the
-/// gate, which flips new entries to no-ops and blocks until every
-/// in-flight body has exited. After close() returns, the manager can be
-/// destroyed: no callback can touch it again.
+/// Objects the UnitManager does not own call back into it: pilots live
+/// on in the shared PilotManager after a session is torn down,
+/// retry-backoff timers live in the backend's engine, and the units it
+/// creates (held by agents, patterns and reports) call in after every
+/// transition. Each such caller holds a shared_ptr to its manager's gate
+/// and brackets the call with enter()/exit(); the manager's destructor
+/// close()s the gate, which flips new entries to no-ops and blocks until
+/// every in-flight call has exited. After close() returns, the manager
+/// can be destroyed: no callback can touch it again.
 ///
 /// enter/exit are two relaxed-ish atomics on the hot path; the mutex +
 /// condvar are touched only during close. Entries count nesting, not
@@ -102,8 +103,6 @@ class UnitManager {
 
   /// Owning session name; "" for legacy unnamed managers.
   const std::string& session() const { return session_; }
-  /// Trace ordinal of the owning session (0 = unnamed).
-  std::uint32_t session_ordinal() const { return session_ordinal_; }
 
   /// Registers a pilot as an execution target. Units are distributed
   /// round-robin over active pilots.
@@ -142,10 +141,6 @@ class UnitManager {
   /// Units requeued off failed pilots (pilot-loss recovery).
   std::size_t recovered_units() const ENTK_EXCLUDES(mutex_);
 
-  /// Seeds the jitter stream retry backoff draws from (determinism
-  /// hook for tests; the default seed is fixed anyway).
-  void seed_retry_jitter(std::uint64_t seed) ENTK_EXCLUDES(mutex_);
-
   /// Fired exactly once per managed unit when it settles: done,
   /// cancelled, or failed with retries exhausted. A kFailed state with
   /// retry budget left never reaches observers — the retry is internal.
@@ -160,6 +155,13 @@ class UnitManager {
 
   ExecutionBackend& backend() { return backend_; }
 
+  // --- runtime interface (units this manager created only) ---
+  /// Called by a unit after each of its transitions, outside the unit's
+  /// lock and inside this manager's gate: settles it, or schedules its
+  /// retry.
+  void handle_state_change(ComputeUnit& unit, UnitState state)
+      ENTK_EXCLUDES(mutex_);
+
   // --- checkpoint/restart (ckpt::Coordinator only) ---
   struct SavedState {
     std::size_t next_pilot = 0;
@@ -172,13 +174,15 @@ class UnitManager {
   using UnitResolver = std::function<ComputeUnitPtr(const std::string&)>;
   SavedState save_state() const ENTK_EXCLUDES(mutex_);
   /// Injects counters/cursors and rebuilds the unrouted queue. Call
-  /// after every unit has been re-registered via restore_unit().
+  /// after every unit has been rebuilt via restore_unit().
   void restore_state(const SavedState& saved, const UnitResolver& resolve)
       ENTK_EXCLUDES(mutex_);
-  /// Registers a restored unit (entry bookkeeping + state-change
-  /// wiring) without counting it as a new submission.
-  void restore_unit(const ComputeUnitPtr& unit, bool settled,
-                    bool notified) ENTK_EXCLUDES(mutex_);
+  /// Rebuilds a captured unit in its saved state and manages it with
+  /// the captured entry flags, without counting it as a new submission.
+  ComputeUnitPtr restore_unit(std::string uid, UnitDescription description,
+                              const ComputeUnit::SavedState& state,
+                              bool settled, bool notified)
+      ENTK_EXCLUDES(mutex_);
   /// Entry flags for one managed unit; false when not managed here.
   bool unit_entry(const ComputeUnit* unit, bool& settled,
                   bool& notified) const ENTK_EXCLUDES(mutex_);
@@ -195,8 +199,6 @@ class UnitManager {
   /// Routes every held unit to an active pilot (takes the lock itself;
   /// agent submission happens outside it so callbacks can re-enter).
   void route_pending() ENTK_EXCLUDES(mutex_);
-  void handle_state_change(ComputeUnit& unit, UnitState state)
-      ENTK_EXCLUDES(mutex_);
   /// Marks the unit settled and fires the settled observers (outside
   /// the lock, at most once per unit). Every settle path — completion,
   /// cancellation, final failure, oversized rejection — funnels here.
@@ -216,8 +218,9 @@ class UnitManager {
   /// per uid instead of a global map lookup under a mutex. Per-manager
   /// so each session draws from its own counter family.
   const UidSource unit_uids_;
-  /// Shared with every callback this manager registers on pilots,
-  /// units and backend timers; closed (and drained) on destruction.
+  /// Shared with every unit this manager creates and every callback it
+  /// registers on pilots and backend timers; closed (and drained) on
+  /// destruction.
   const std::shared_ptr<CallbackGate> gate_;
 
   struct Entry {

@@ -41,18 +41,6 @@ Result<std::uint64_t> read_id(const Json& object) {
 
 }  // namespace
 
-const char* verb_name(Verb verb) {
-  switch (verb) {
-    case Verb::kSubmit: return "SUBMIT";
-    case Verb::kStatus: return "STATUS";
-    case Verb::kCancel: return "CANCEL";
-    case Verb::kResults: return "RESULTS";
-    case Verb::kStats: return "STATS";
-    case Verb::kShutdown: return "SHUTDOWN";
-  }
-  return "?";
-}
-
 Result<Request> parse_request(std::string_view line) {
   if (line.size() > kMaxLineBytes) {
     return bad_request("request line exceeds " +

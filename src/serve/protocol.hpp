@@ -44,9 +44,6 @@ enum class Verb {
   kShutdown,
 };
 
-/// "SUBMIT", "STATUS", ... (the wire spelling).
-const char* verb_name(Verb verb);
-
 /// One parsed request frame.
 struct Request {
   Verb verb = Verb::kStats;

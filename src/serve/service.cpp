@@ -46,6 +46,14 @@ Result<std::unique_ptr<Service>> Service::create(ServiceConfig config) {
     return make_error(Errc::kInvalidArgument,
                       "queue_capacity must be at least 1");
   }
+  if (config.max_active_sessions == 0) {
+    return make_error(Errc::kInvalidArgument,
+                      "max_active_sessions must be at least 1");
+  }
+  if (config.drr_quantum == 0) {
+    return make_error(Errc::kInvalidArgument,
+                      "drr_quantum must be at least 1");
+  }
   return std::unique_ptr<Service>(
       new Service(std::move(config), machine.take()));
 }
@@ -55,9 +63,6 @@ Service::Service(ServiceConfig config, sim::MachineProfile machine)
       machine_cores_(machine.total_cores()),
       kernel_registry_(kernels::KernelRegistry::with_builtin_kernels()),
       backend_(std::make_unique<pilot::SimBackend>(std::move(machine))) {
-  max_active_ =
-      config_.max_active_sessions != 0 ? config_.max_active_sessions : 4;
-  quantum_ = config_.drr_quantum != 0 ? config_.drr_quantum : 8;
   inflight_budget_ = config_.max_inflight_total != 0
                          ? config_.max_inflight_total
                          : 2 * static_cast<std::size_t>(machine_cores_);
@@ -138,7 +143,7 @@ Result<std::uint64_t> Service::submit(std::string_view tenant,
       return make_error(Errc::kCancelled, "service is shutting down");
     }
     MutexLock registry(registry_mutex_);
-    Tenant& owner = tenant_locked(tenant);
+    TenantStats& owner = tenant_locked(tenant).tally;
     ++owner.submitted;
     if (queue_.size() >= config_.queue_capacity) {
       ++owner.rejected;
@@ -163,9 +168,6 @@ Result<std::uint64_t> Service::submit(std::string_view tenant,
     mailbox_cv_.notify_all();
   }
   metrics().counter(obs::WellKnownCounter::kServeAccepted).add();
-  metrics()
-      .counter("serve.tenant." + std::string(tenant) + ".accepted")
-      .add();
   update_gauges();
   return workload->id;
 }
@@ -240,7 +242,7 @@ Status Service::cancel(std::uint64_t id) {
     workload.state = WorkloadState::kCancelled;
     workload.outcome =
         make_error(Errc::kCancelled, "cancelled while queued");
-    Tenant& owner = tenant_locked(workload.tenant);
+    TenantStats& owner = tenant_locked(workload.tenant).tally;
     if (owner.queued > 0) --owner.queued;
     ++owner.cancelled;
     metrics().counter(obs::WellKnownCounter::kServeCancelled).add();
@@ -258,32 +260,21 @@ ServiceStats Service::stats() const {
   stats.machine = config_.machine;
   stats.machine_cores = static_cast<std::size_t>(machine_cores_);
   stats.queue_capacity = config_.queue_capacity;
-  stats.max_active_sessions = max_active_;
+  stats.max_active_sessions = config_.max_active_sessions;
   MutexLock lock(mailbox_mutex_);
   stats.queue_depth = queue_.size();
   stats.active_sessions = running_count_;
   MutexLock registry(registry_mutex_);
   for (const auto& [name, tenant] : tenants_) {
-    TenantStats entry;
+    TenantStats entry = tenant.tally;
     entry.name = name;
     entry.weight = tenant.config.weight;
-    entry.submitted = tenant.submitted;
-    entry.accepted = tenant.accepted;
-    entry.rejected = tenant.rejected;
-    entry.completed = tenant.completed;
-    entry.failed = tenant.failed;
-    entry.cancelled = tenant.cancelled;
-    entry.dispatched_units = tenant.dispatched_units;
-    entry.contended_dispatched_units = tenant.contended_dispatched_units;
-    entry.active_sessions = tenant.active_sessions;
-    entry.peak_active_sessions = tenant.peak_active_sessions;
-    entry.queued = tenant.queued;
-    stats.submitted += tenant.submitted;
-    stats.accepted += tenant.accepted;
-    stats.rejected += tenant.rejected;
-    stats.completed += tenant.completed;
-    stats.failed += tenant.failed;
-    stats.cancelled += tenant.cancelled;
+    stats.submitted += entry.submitted;
+    stats.accepted += entry.accepted;
+    stats.rejected += entry.rejected;
+    stats.completed += entry.completed;
+    stats.failed += entry.failed;
+    stats.cancelled += entry.cancelled;
     stats.tenants.push_back(std::move(entry));
   }
   return stats;
@@ -418,7 +409,7 @@ void Service::process_mailbox() {
 
 std::shared_ptr<Service::Workload> Service::pop_admissible() {
   MutexLock lock(mailbox_mutex_);
-  if (active_.size() >= max_active_) return nullptr;
+  if (active_.size() >= config_.max_active_sessions) return nullptr;
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     const std::shared_ptr<Workload>& candidate = *it;
     bool open = committed_cores_ + candidate->spec.cores <=
@@ -426,7 +417,7 @@ std::shared_ptr<Service::Workload> Service::pop_admissible() {
     if (open) {
       MutexLock registry(registry_mutex_);
       const Tenant& owner = tenant_locked(candidate->tenant);
-      open = owner.active_sessions < owner.config.max_sessions;
+      open = owner.tally.active_sessions < owner.config.max_sessions;
     }
     // A closed gate skips this entry, not the whole queue: a narrow
     // workload behind a wide one still admits (no head-of-line block).
@@ -497,7 +488,7 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
     workload->state = WorkloadState::kRunning;
     workload->start_wall = wall_.now();
     queue_wait = workload->start_wall - workload->submit_wall;
-    Tenant& owner = tenant_locked(workload->tenant);
+    TenantStats& owner = tenant_locked(workload->tenant).tally;
     if (owner.queued > 0) --owner.queued;
     ++owner.active_sessions;
     owner.peak_active_sessions =
@@ -604,7 +595,7 @@ void Service::advance_and_flush() {
         const std::vector<Workload*>& ready = backlog[name];
         Tenant& owner = tenant_locked(name);
         const double credit = owner.config.weight *
-                              static_cast<double>(quantum_);
+                              static_cast<double>(config_.drr_quantum);
         owner.deficit =
             std::min(owner.deficit + credit, credit * kDeficitCapRounds);
         const std::size_t inflight = inflight_by_tenant[name];
@@ -626,8 +617,8 @@ void Service::advance_and_flush() {
           owner.deficit -= static_cast<double>(flushed);
           flushed_total += flushed;
           workload->dispatched_units += flushed;
-          owner.dispatched_units += flushed;
-          if (contended) owner.contended_dispatched_units += flushed;
+          owner.tally.dispatched_units += flushed;
+          if (contended) owner.tally.contended_dispatched_units += flushed;
           if (workload->first_dispatch_wall < 0.0) {
             workload->first_dispatch_wall = wall_.now();
             metrics()
@@ -638,9 +629,6 @@ void Service::advance_and_flush() {
           }
           metrics()
               .counter(obs::WellKnownCounter::kServeDispatchedUnits)
-              .add(flushed);
-          metrics()
-              .counter("serve.tenant." + name + ".dispatched_units")
               .add(flushed);
         }
         // A drained tenant keeps no credit: deficits meter contention,
@@ -706,7 +694,7 @@ void Service::finish_workload(const std::shared_ptr<Workload>& workload,
       workload->units_failed = report->units_failed;
       workload->units_cancelled = report->units_cancelled;
     }
-    Tenant& owner = tenant_locked(workload->tenant);
+    TenantStats& owner = tenant_locked(workload->tenant).tally;
     if (previous == WorkloadState::kQueued) {
       if (owner.queued > 0) --owner.queued;
     } else if (previous == WorkloadState::kRunning) {

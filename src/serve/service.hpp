@@ -108,11 +108,10 @@ struct ServiceConfig {
   /// Admission queue bound; a full queue REJECTs further SUBMITs.
   std::size_t queue_capacity = 256;
   /// Max concurrently running sessions across all tenants.
-  /// 0 = derive (4).
-  std::size_t max_active_sessions = 0;
+  std::size_t max_active_sessions = 4;
   /// Fair-share quantum: frontier nodes credited per tenant per DRR
-  /// round, scaled by the tenant weight. 0 = derive (8).
-  std::size_t drr_quantum = 0;
+  /// round, scaled by the tenant weight.
+  std::size_t drr_quantum = 8;
   /// Global in-flight dispatch budget: the DRR pass stops flushing
   /// once this many units are dispatched-but-unsettled across ALL
   /// tenants. This is the scarce resource fair-share arbitrates — it
@@ -216,20 +215,11 @@ class Service {
   };
 
   /// Tenant policy + tallies; guarded by registry_mutex_ except
-  /// `deficit`, which only the drive thread touches.
+  /// `deficit`, which only the drive thread touches. stats() copies
+  /// `tally` whole (name and weight are filled in there).
   struct Tenant {
     TenantConfig config;
-    std::uint64_t submitted = 0;
-    std::uint64_t accepted = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t dispatched_units = 0;
-    std::uint64_t contended_dispatched_units = 0;
-    std::size_t active_sessions = 0;
-    std::size_t peak_active_sessions = 0;
-    std::size_t queued = 0;
+    TenantStats tally;
     double deficit = 0.0;
   };
 
@@ -259,8 +249,6 @@ class Service {
 
   ServiceConfig config_;
   Count machine_cores_ = 0;
-  std::size_t max_active_ = 0;
-  std::size_t quantum_ = 0;
   WallClock wall_;
 
   kernels::KernelRegistry kernel_registry_;

@@ -1,6 +1,7 @@
 #include "sim/batch.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -40,7 +41,6 @@ Result<BatchJobId> BatchQueue::submit(BatchJobRequest request) {
   record.id = id;
   record.request = std::move(request);
   jobs_.emplace(id, std::move(record));
-  ++pending_;
 
   const auto& profile = cluster_.profile();
   const Count nodes = static_cast<Count>(
@@ -61,8 +61,6 @@ void BatchQueue::make_eligible(BatchJobId id) {
   if (it == jobs_.end() || it->second.state != BatchJobState::kQueued) {
     return;  // cancelled while waiting
   }
-  it->second.eligible = true;
-  --pending_;
   eligible_.push_back(id);
   try_start_jobs();
 }
@@ -73,7 +71,6 @@ void BatchQueue::try_start_jobs() {
     ENTK_CHECK(allocation.ok(), "can_allocate/allocate disagree");
     job.allocation = allocation.take();
     job.state = BatchJobState::kRunning;
-    ++running_;
     const BatchJobId id = job.id;
     job.walltime_event = engine_.schedule(job.request.walltime, [this, id] {
       auto jt = jobs_.find(id);
@@ -147,9 +144,7 @@ Status BatchQueue::cancel(BatchJobId id) {
   JobRecord& job = it->second;
   switch (job.state) {
     case BatchJobState::kQueued:
-      if (!job.eligible) --pending_;
-      job.state = BatchJobState::kCancelled;
-      if (job.request.on_end) job.request.on_end(BatchJobState::kCancelled);
+      end_job(job, BatchJobState::kCancelled);
       return Status::ok();
     case BatchJobState::kRunning:
       finish(job, BatchJobState::kCancelled);
@@ -178,11 +173,17 @@ void BatchQueue::finish(JobRecord& job, BatchJobState final_state) {
     job.walltime_event = kInvalidEvent;
   }
   cluster_.release(job.allocation);
-  job.state = final_state;
-  --running_;
-  if (job.request.on_end) job.request.on_end(final_state);
+  job.allocation = Allocation{};
+  end_job(job, final_state);
   // Freed cores may unblock the FIFO head.
   try_start_jobs();
+}
+
+void BatchQueue::end_job(JobRecord& job, BatchJobState final_state) {
+  job.state = final_state;
+  job.request.on_start = nullptr;
+  const auto on_end = std::exchange(job.request.on_end, nullptr);
+  if (on_end) on_end(final_state);
 }
 
 }  // namespace entk::sim

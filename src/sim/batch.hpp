@@ -68,30 +68,29 @@ class BatchQueue {
 
   Result<BatchJobState> state(BatchJobId id) const;
 
-  std::size_t queued_jobs() const { return eligible_.size() + pending_; }
-  std::size_t running_jobs() const { return running_; }
-
  private:
+  /// Kept after the job ends, so state() and a second complete() or
+  /// cancel() still answer; its callbacks and allocation are released.
   struct JobRecord {
     BatchJobId id = 0;
     BatchJobRequest request;
     BatchJobState state = BatchJobState::kQueued;
-    bool eligible = false;  // queue-wait delay elapsed
     Allocation allocation;
     EventId walltime_event = kInvalidEvent;
   };
 
   void make_eligible(BatchJobId id);
   void try_start_jobs();
+  /// Ends a running job: releases its cores, then end_job().
   void finish(JobRecord& job, BatchJobState final_state);
+  /// Sets the final state, drops both callbacks and fires on_end.
+  void end_job(JobRecord& job, BatchJobState final_state);
 
   Engine& engine_;
   Cluster& cluster_;
   BatchPolicy policy_;
   std::unordered_map<BatchJobId, JobRecord> jobs_;
   std::deque<BatchJobId> eligible_;  // FIFO start order
-  std::size_t pending_ = 0;          // submitted, still in queue-wait
-  std::size_t running_ = 0;
   BatchJobId next_id_ = 1;
 };
 

@@ -23,6 +23,7 @@
 #include "common/uid.hpp"
 #include "core/entk.hpp"
 #include "scale_test_util.hpp"
+#include "sim/machine.hpp"
 
 namespace entk::core {
 namespace {
@@ -282,6 +283,90 @@ TEST(CheckpointRestart, WorkloadRunCrashesAndResumesThroughFrontDoor) {
   EXPECT_NE(mismatch.status().message().find("different workload"),
             std::string::npos)
       << mismatch.status().to_string();
+}
+
+TEST(CheckpointRestart, RefusedResumeLeavesTheCoordinatorIdle) {
+  // A resume whose expander replay fails never starts, so it gets no
+  // end hook; the coordinator must not keep watching its executor while
+  // the restored units go on settling on the backend.
+  const std::string dir = fresh_dir("ckpt_refused_resume");
+  ckpt::Snapshot snapshot =
+      run_until_crash(scale_test::scale_workload(500), dir,
+                      /*every_settled=*/50, /*crash_after=*/1);
+  snapshot.graph.expander_log = {{7, true}};  // no such expander
+  reset_uid_counters_for_testing();
+  Runtime rt;
+  ASSERT_TRUE(rt.handle.allocate().is_ok());
+  ckpt::Coordinator::Options options;
+  options.directory = dir;
+  options.policy.every_settled = 50;
+  ckpt::Coordinator coordinator(rt.backend, rt.handle,
+                                std::move(options));
+  BagOfTasks pattern = scale_test::scale_workload(500);
+  coordinator.set_identity(pattern.name(), "");
+  ASSERT_TRUE(coordinator.restore_runtime(snapshot).is_ok());
+  pattern.set_graph_run_observer(&coordinator);
+  auto report = rt.handle.run(pattern);
+  ASSERT_TRUE(report.ok()) << report.status().to_string();
+  EXPECT_EQ(report.value().outcome.code(), Errc::kInternal)
+      << report.value().outcome.to_string();
+  (void)rt.backend.drive_until([] { return false; });
+  EXPECT_EQ(coordinator.snapshots_written(), 0u);
+}
+
+TEST(CheckpointRestart,
+     ResumingAnUnnamedWorkloadLeavesNamedSessionUidsAlone) {
+  // A named session keeps drawing uids in the process where an unnamed
+  // workload crashes and resumes: the resume rewinds only the unnamed
+  // session's own "unit" and "pilot" families, never alpha's.
+  reset_uid_counters_for_testing();
+  auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  pilot::SimBackend alpha_backend(sim::localhost_profile());
+  ::entk::core::Runtime alpha_runtime(alpha_backend, registry);
+  SessionOptions alpha_options;
+  alpha_options.name = "alpha";
+  auto alpha = alpha_runtime.create_session(alpha_options);
+  ASSERT_TRUE(alpha.ok()) << alpha.status().to_string();
+  ASSERT_TRUE(alpha.value()->allocate().is_ok());
+  // Submits n units to alpha; returns the last uid drawn.
+  const auto submit = [&alpha](std::size_t n) {
+    pilot::UnitDescription unit;
+    unit.name = "alpha.task";
+    unit.executable = "/bin/true";
+    unit.simulated_duration = 1.0;
+    auto units = alpha.value()->unit_manager()->submit_units(
+        std::vector<pilot::UnitDescription>(n, unit));
+    EXPECT_TRUE(units.ok()) << units.status().to_string();
+    return units.ok() ? units.value().back()->uid() : std::string();
+  };
+  EXPECT_EQ(submit(3), "alpha.unit.000002");
+
+  auto spec = load_workload(std::string(ENTK_EXAMPLES_DIR) + "/sal.entk");
+  ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+  const std::string dir = fresh_dir("ckpt_unnamed_beside_named");
+  ckpt::CheckpointedRunOptions options;
+  options.directory = dir;
+  options.policy.every_settled = 2;
+  options.crash_after_snapshots = 1;
+  auto crashed =
+      ckpt::run_workload_with_checkpoints(spec.value(), registry, options);
+  ASSERT_TRUE(crashed.ok()) << crashed.status().to_string();
+  ASSERT_TRUE(crashed.value().checkpoint_stop);
+
+  EXPECT_EQ(submit(2), "alpha.unit.000004");
+
+  ckpt::CheckpointedRunOptions resume_options;
+  resume_options.directory = dir;
+  resume_options.resume_path = crashed.value().last_snapshot_path;
+  auto resumed = ckpt::run_workload_with_checkpoints(
+      spec.value(), registry, resume_options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+  EXPECT_TRUE(resumed.value().report.outcome.is_ok())
+      << resumed.value().report.outcome.to_string();
+  EXPECT_EQ(resumed.value().report.units.size(), 10u);
+
+  EXPECT_EQ(submit(1), "alpha.unit.000005")
+      << "the resume rewound another session's uid family";
 }
 
 }  // namespace

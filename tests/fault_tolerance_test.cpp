@@ -477,19 +477,18 @@ TEST(FaultTolerance, InflightCountMatchesAScanThroughEverySettlePath) {
   expect_scan("drained");
   EXPECT_EQ(manager.inflight_units(), 0u);
 
-  // Checkpoint restore re-registers units with their captured flags;
-  // a unit registered twice is counted once.
+  // Checkpoint restore rebuilds units with their captured flags.
   UnitManager restored(backend);
-  auto pending = std::make_shared<ComputeUnit>(
-      "inflight.restored", simple_unit(1.0), backend.clock(), 0);
-  ASSERT_TRUE(
-      pending->advance_state(UnitState::kPendingExecution).is_ok());
-  restored.restore_unit(pending, false, false);
-  restored.restore_unit(pending, false, false);
-  restored.restore_unit(big[0], true, true);
+  ComputeUnit::SavedState waiting;
+  waiting.state = UnitState::kPendingExecution;
+  const ComputeUnitPtr pending = restored.restore_unit(
+      "inflight.restored", simple_unit(1.0), waiting, false, false);
+  const ComputeUnitPtr done =
+      restored.restore_unit(big[0]->uid(), big[0]->description(),
+                            big[0]->save_state(), true, true);
   EXPECT_EQ(restored.inflight_units(), 1u);
   EXPECT_EQ(restored.inflight_units(),
-            scan_unsettled(restored, {pending, big[0]}));
+            scan_unsettled(restored, {pending, done}));
   ASSERT_TRUE(restored.drain().is_ok());
   EXPECT_EQ(restored.inflight_units(), 0u);
   EXPECT_EQ(pending->state(), UnitState::kCanceled);

@@ -154,19 +154,6 @@ TEST(Metrics, WellKnownCountersAreSharedProcessWide) {
       before + 3);
 }
 
-TEST(Metrics, DynamicMetricsInternByNameToAStableReference) {
-  auto& metrics = obs::Metrics::instance();
-  auto& first = metrics.counter("test.dynamic.counter");
-  const auto before = first.get();
-  metrics.counter("test.dynamic.counter").add(7);
-  EXPECT_EQ(first.get(), before + 7);
-  EXPECT_NE(&first, &metrics.counter("test.dynamic.other"));
-
-  auto& gauge = metrics.gauge("test.dynamic.gauge");
-  gauge.set(2.5);
-  EXPECT_DOUBLE_EQ(metrics.gauge("test.dynamic.gauge").get(), 2.5);
-}
-
 TEST(Metrics, HistogramTracksCountSumMeanAndQuantiles) {
   obs::Histogram histogram;
   EXPECT_DOUBLE_EQ(histogram.mean(), 0.0);

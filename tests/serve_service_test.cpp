@@ -85,6 +85,25 @@ TEST(ServeService, QueueBoundShedsWithResourceExhausted) {
   service.value()->run();  // drains the shed queue and returns
 }
 
+TEST(ServeService, ZeroSessionCapOrQuantumIsRejected) {
+  // Both default to a real value (4 and 8); 0 admits or credits nothing
+  // and is refused like a 0 queue capacity.
+  const ServiceConfig defaults;
+  EXPECT_EQ(defaults.max_active_sessions, 4u);
+  EXPECT_EQ(defaults.drr_quantum, 8u);
+  ServiceConfig no_sessions;
+  no_sessions.max_active_sessions = 0;
+  EXPECT_EQ(Service::create(no_sessions).status().code(),
+            Errc::kInvalidArgument);
+  ServiceConfig no_quantum;
+  no_quantum.drr_quantum = 0;
+  EXPECT_EQ(Service::create(no_quantum).status().code(),
+            Errc::kInvalidArgument);
+  auto service = Service::create(defaults);
+  ASSERT_TRUE(service.ok()) << service.status().to_string();
+  EXPECT_EQ(service.value()->stats().max_active_sessions, 4u);
+}
+
 TEST(ServeService, SubmitValidatesSpecAndTenant) {
   auto service = Service::create(ServiceConfig{});
   ASSERT_TRUE(service.ok());
@@ -370,27 +389,6 @@ TEST(ServeService, NonNumericKernelArgumentFailsOnlyItsWorkload) {
   EXPECT_EQ(done.value().units_done, 4u);
 }
 
-TEST(ServeService, ServingWorkloadsDoesNotGrowTheMetricsRegistry) {
-  // Each workload runs as a fresh session "serve.<tenant>.<id>"; a
-  // long-running daemon must not leave registry names behind per
-  // workload. The first batch registers everything a workload touches,
-  // so an equal second batch must add nothing.
-  Driven driven(ServiceConfig{});
-  auto serve_batch = [&driven] {
-    for (const char* tenant : {"alice", "bob", "alice", "bob"}) {
-      auto id = driven.service->submit(tenant, bag_spec(4));
-      ASSERT_TRUE(id.ok()) << id.status().to_string();
-    }
-    driven.service->drain();
-  };
-  serve_batch();
-  const obs::Metrics& metrics = obs::Metrics::instance();
-  const std::size_t after_first = metrics.names().size();
-  serve_batch();
-  EXPECT_EQ(driven.service->stats().completed, 8u);
-  EXPECT_EQ(metrics.names().size(), after_first);
-}
-
 // ---------------------------------------------------------------------
 // Protocol entry point (socket-free)
 // ---------------------------------------------------------------------
@@ -464,8 +462,6 @@ TEST(ServeLockRank, ServiceMutexesAreOutermost) {
             static_cast<int>(LockRank::kGraphExecutor));
   EXPECT_LT(static_cast<int>(LockRank::kServeRegistry),
             static_cast<int>(LockRank::kUnitManager));
-  EXPECT_LT(static_cast<int>(LockRank::kServeRegistry),
-            static_cast<int>(LockRank::kMetricsRegistry));
   EXPECT_STREQ(lock_rank_name(LockRank::kServeMailbox), "kServeMailbox");
   EXPECT_STREQ(lock_rank_name(LockRank::kServeRegistry),
                "kServeRegistry");

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <memory>
 
 #include "sim/batch.hpp"
 #include "sim/cluster.hpp"
@@ -343,6 +344,51 @@ TEST_F(BatchQueueTest, CancelQueuedAndRunning) {
   ASSERT_TRUE(batch_.cancel(b.value()).is_ok());
   EXPECT_EQ(cluster_.free_cores(), 32);
   EXPECT_EQ(batch_.cancel(b.value()).code(), Errc::kFailedPrecondition);
+}
+
+TEST_F(BatchQueueTest, FinishedJobReleasesItsCallbacks) {
+  // Every way a job ends drops both callbacks (and what they capture),
+  // while the record still answers state() and a second complete/cancel.
+  const auto sentinel = std::make_shared<int>(0);
+  const auto submit = [&](Duration walltime) {
+    BatchJobRequest request;
+    request.cores = 2;
+    request.walltime = walltime;
+    request.on_start = [sentinel](const Allocation&) {};
+    request.on_end = [sentinel](BatchJobState) {};
+    auto id = batch_.submit(std::move(request));
+    EXPECT_TRUE(id.ok());
+    return id.value();
+  };
+  const BatchJobId completed = submit(100.0);
+  const BatchJobId expired = submit(10.0);
+  const BatchJobId cancelled_running = submit(100.0);
+  const BatchJobId cancelled_queued = submit(100.0);
+  EXPECT_EQ(sentinel.use_count(), 9);
+
+  ASSERT_TRUE(batch_.cancel(cancelled_queued).is_ok());
+  EXPECT_EQ(sentinel.use_count(), 7);
+  engine_.run_until(5.0);
+  ASSERT_EQ(batch_.state(completed).value(), BatchJobState::kRunning);
+  ASSERT_TRUE(batch_.complete(completed).is_ok());
+  EXPECT_EQ(sentinel.use_count(), 5);
+  ASSERT_TRUE(batch_.cancel(cancelled_running).is_ok());
+  EXPECT_EQ(sentinel.use_count(), 3);
+  engine_.run();
+  EXPECT_EQ(batch_.state(expired).value(), BatchJobState::kExpired);
+  EXPECT_EQ(sentinel.use_count(), 1);
+
+  EXPECT_EQ(batch_.state(completed).value(), BatchJobState::kCompleted);
+  EXPECT_EQ(batch_.state(cancelled_running).value(),
+            BatchJobState::kCancelled);
+  EXPECT_EQ(batch_.state(cancelled_queued).value(),
+            BatchJobState::kCancelled);
+  for (const BatchJobId id :
+       {completed, expired, cancelled_running, cancelled_queued}) {
+    EXPECT_EQ(batch_.complete(id).code(), Errc::kFailedPrecondition);
+    EXPECT_EQ(batch_.cancel(id).code(), Errc::kFailedPrecondition);
+  }
+  EXPECT_EQ(cluster_.free_cores(), 32);
 }
 
 TEST_F(BatchQueueTest, RejectsImpossibleJobs) {

@@ -100,9 +100,10 @@ int list_serve() {
   config.add_row({"queue_capacity",
                   std::to_string(defaults.queue_capacity),
                   "admission bound; beyond it SUBMITs are REJECTED"});
-  config.add_row({"max_active_sessions", "4",
+  config.add_row({"max_active_sessions",
+                  std::to_string(defaults.max_active_sessions),
                   "concurrent sessions across all tenants"});
-  config.add_row({"drr_quantum", "8",
+  config.add_row({"drr_quantum", std::to_string(defaults.drr_quantum),
                   "frontier nodes credited per tenant per round"});
   config.add_row({"max_inflight_total", "2 x machine cores",
                   "global dispatch budget fair-share divides"});
