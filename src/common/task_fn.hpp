@@ -5,8 +5,9 @@
 // requires copyability — so every scheduled event would pay an
 // allocation plus a copyable-wrapper tax. TaskFn has 48 bytes of
 // inline storage (SimAgent's lifecycle closures capture a this
-// pointer, a unit's shared_ptr and an epoch; see
-// bench/micro_components.cpp for the measured allocation-count drop),
+// pointer, a unit's shared_ptr, an epoch and a slot index, 40 bytes;
+// see bench/micro_components.cpp for the measured allocation-count
+// drop),
 // is move-only so callables can own unique_ptrs, and dispatches
 // through a static table of invoke/move/destroy pointers instead of
 // RTTI.

@@ -30,6 +30,8 @@ bool is_settled_status(NodeStatus status) {
          status == NodeStatus::kCanceled || status == NodeStatus::kSkipped;
 }
 
+constexpr NodeId kNoNode = static_cast<NodeId>(-1);
+
 }  // namespace
 
 GraphExecutor::GraphExecutor(TaskGraph& graph, PatternExecutor& executor,
@@ -85,9 +87,14 @@ std::size_t GraphExecutor::nodes_submitted() const {
 void GraphExecutor::on_unit_settled(const pilot::ComputeUnitPtr& unit) {
   {
     MutexLock lock(mutex_);
-    const auto it = node_of_.find(unit.get());
-    if (it == node_of_.end()) return;  // not one of this graph's units
-    events_.push_back({it->second, unit->state()});
+    // A unit this graph did not adopt falls outside node_of_, maps to
+    // kNoNode, or (made by another manager) to a node holding another
+    // unit.
+    const std::size_t index = unit->manager_index();
+    if (index < node_base_ || index - node_base_ >= node_of_.size()) return;
+    const NodeId id = node_of_[index - node_base_];
+    if (id == kNoNode || runs_[id].unit != unit) return;
+    events_.push_back({id, unit->state()});
   }
   if (!deferred_) pump();  // held dispatch: advance_local() drains it
 }
@@ -370,7 +377,8 @@ void GraphExecutor::decide_stage_groups_locked() {
   // Ascending ids: when several groups complete in the same pump, the
   // lowest-id failing verdict wins the abort (the historical full-scan
   // order).
-  std::vector<GroupId> batch;
+  std::vector<GroupId>& batch = decide_batch_;
+  batch.clear();
   batch.swap(dirty_groups_);
   std::sort(batch.begin(), batch.end());
   for (const GroupId gid : batch) group_dirty_[gid] = 0;
@@ -557,7 +565,8 @@ void GraphExecutor::adopt_unit(NodeId id,
     run.unit = unit;
     ++inflight_;
     ++submitted_count_;
-    node_of_[unit.get()] = id;
+    if (node_of_.empty()) node_base_ = unit->manager_index();
+    map_unit_locked(*unit, id);
   }
   const UnitSink& sink = graph_.node(id).sink;
   if (sink) sink(unit);
@@ -568,6 +577,19 @@ void GraphExecutor::adopt_unit(NodeId id,
     // deduplicated against the node status.
     on_unit_settled(unit);
   }
+}
+
+void GraphExecutor::map_unit_locked(const pilot::ComputeUnit& unit,
+                                    NodeId id) {
+  const std::size_t index = unit.manager_index();
+  ENTK_CHECK(index != pilot::ComputeUnit::kNoIndex &&
+                 index >= node_base_,
+             "unit " + unit.uid() +
+                 " has no manager index at or after this graph's first");
+  if (index - node_base_ >= node_of_.size()) {
+    node_of_.resize(index - node_base_ + 1, kNoNode);
+  }
+  node_of_[index - node_base_] = id;
 }
 
 void GraphExecutor::fail_submission(NodeId id, const Status& error) {
@@ -806,8 +828,19 @@ void GraphExecutor::restore_state(const SavedState& saved,
       run.unit = resolve(node.unit_uid);
       ENTK_CHECK(run.unit != nullptr,
                  "checkpoint references unknown unit " + node.unit_uid);
-      node_of_[run.unit.get()] = id;
     }
+  }
+  // Node order need not be creation order: base the map at the lowest
+  // restored index.
+  node_of_.clear();
+  node_base_ = pilot::ComputeUnit::kNoIndex;
+  for (const NodeRun& run : runs_) {
+    if (run.unit != nullptr) {
+      node_base_ = std::min(node_base_, run.unit->manager_index());
+    }
+  }
+  for (NodeId id = 0; id < runs_.size(); ++id) {
+    if (runs_[id].unit != nullptr) map_unit_locked(*runs_[id].unit, id);
   }
   for (GroupId gid = 0; gid < group_runs_.size(); ++gid) {
     GroupRun& run = group_runs_[gid];

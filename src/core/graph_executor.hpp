@@ -29,7 +29,6 @@
 #pragma once
 
 #include <deque>
-#include <unordered_map>
 #include <vector>
 
 #include "common/mutex.hpp"
@@ -214,6 +213,10 @@ class GraphExecutor {
                     std::vector<TaskSpec>& specs) ENTK_EXCLUDES(mutex_);
   void adopt_unit(NodeId id, const pilot::ComputeUnitPtr& unit)
       ENTK_EXCLUDES(mutex_);
+  /// Records `unit` as node `id`'s in node_of_; node_base_ must be
+  /// set.
+  void map_unit_locked(const pilot::ComputeUnit& unit, NodeId id)
+      ENTK_REQUIRES(mutex_);
   void fail_submission(NodeId id, const Status& error)
       ENTK_EXCLUDES(mutex_);
   Status decide_chain_sets() ENTK_EXCLUDES(mutex_);
@@ -251,6 +254,9 @@ class GraphExecutor {
   std::vector<char> ready_queued_ ENTK_GUARDED_BY(mutex_);
   std::vector<NodeId> skip_candidates_ ENTK_GUARDED_BY(mutex_);
   std::vector<GroupId> dirty_groups_ ENTK_GUARDED_BY(mutex_);
+  /// decide_stage_groups_locked's working copy of dirty_groups_, kept
+  /// so neither buffer is reallocated per pump.
+  std::vector<GroupId> decide_batch_ ENTK_GUARDED_BY(mutex_);
   std::vector<char> group_dirty_ ENTK_GUARDED_BY(mutex_);
   std::size_t synced_nodes_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t synced_groups_ ENTK_GUARDED_BY(mutex_) = 0;
@@ -263,8 +269,12 @@ class GraphExecutor {
   /// the checkpoint replay script for adaptive graph growth.
   std::vector<std::pair<std::size_t, bool>> expander_log_
       ENTK_GUARDED_BY(mutex_);
-  std::unordered_map<const pilot::ComputeUnit*, NodeId> node_of_
-      ENTK_GUARDED_BY(mutex_);
+  /// Node of each adopted unit, indexed by the unit's manager_index()
+  /// minus node_base_, the index of the first unit adopted: a session
+  /// that runs many graphs on one manager creates other graphs' units
+  /// too. kNoNode where a unit is not this graph's.
+  std::vector<NodeId> node_of_ ENTK_GUARDED_BY(mutex_);
+  std::size_t node_base_ ENTK_GUARDED_BY(mutex_) = 0;
   std::deque<Event> events_ ENTK_GUARDED_BY(mutex_);
   /// Chronological (node, error) records for chain-set verdicts.
   std::vector<std::pair<NodeId, Status>> errors_ ENTK_GUARDED_BY(mutex_);

@@ -8,7 +8,9 @@
 // Thread-safe for the local backend (worker threads mutate state).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -25,6 +27,11 @@ class UnitManager;
 
 class ComputeUnit {
  public:
+  /// manager_index() of a unit no manager created, and agent_slot() of
+  /// a unit holding no SimAgent cores.
+  static constexpr std::size_t kNoIndex =
+      std::numeric_limits<std::size_t>::max();
+
   /// `session_ordinal` is obs::session_ordinal(description.session),
   /// which the creator (a UnitManager) has already interned. A unit
   /// reports each transition to `manager` through `gate`; a unit built
@@ -71,6 +78,10 @@ class ComputeUnit {
   /// unit never executed.
   Duration execution_time() const ENTK_EXCLUDES(mutex_);
 
+  /// Creation index within the manager that made this unit: where that
+  /// manager keeps its entry. kNoIndex for a unit built without one.
+  std::size_t manager_index() const { return manager_index_; }
+
   // --- runtime interface (agents and unit managers only) ---
   Status advance_state(UnitState to, Status failure = Status::ok())
       ENTK_EXCLUDES(mutex_);
@@ -79,6 +90,16 @@ class ComputeUnit {
   void note_retry() ENTK_EXCLUDES(mutex_);
   /// Rewinds a failed unit to kPendingExecution for resubmission.
   Status reset_for_retry() ENTK_EXCLUDES(mutex_);
+  /// Set once by the creating manager, under its lock and before it
+  /// hands the unit to anyone, so later readers need no lock.
+  void set_manager_index(std::size_t index) { manager_index_ = index; }
+  /// The SimAgent slot holding this unit's cores, kNoIndex while it
+  /// holds none: set at launch and restore, cleared at release. Like
+  /// the rest of a SimAgent's state it is touched only on the engine
+  /// thread. An agent checks that the slot still holds this unit, so a
+  /// slot recorded by another agent never matches.
+  std::size_t agent_slot() const { return agent_slot_; }
+  void set_agent_slot(std::size_t slot) { agent_slot_ = slot; }
 
   // --- checkpoint/restart (ckpt::Coordinator only) ---
   /// All mutable state.
@@ -107,6 +128,8 @@ class ComputeUnit {
   const std::uint32_t session_ordinal_;
   UnitManager* const manager_;
   const std::shared_ptr<CallbackGate> gate_;
+  std::size_t manager_index_ = kNoIndex;
+  std::size_t agent_slot_ = kNoIndex;
 
   mutable Mutex mutex_{LockRank::kComputeUnit};
   UnitState state_ ENTK_GUARDED_BY(mutex_) = UnitState::kNew;

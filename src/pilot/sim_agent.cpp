@@ -1,13 +1,31 @@
 #include "pilot/sim_agent.hpp"
 
 #include <algorithm>
+#include <type_traits>
+#include <utility>
 
 #include "common/log.hpp"
+#include "common/task_fn.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pilot/stager.hpp"
 
 namespace entk::pilot {
+
+namespace {
+
+constexpr std::size_t kNoSlot = ComputeUnit::kNoIndex;
+
+/// Schedules a lifecycle closure, which must fit TaskFn's inline
+/// buffer: one that does not costs a heap allocation per event.
+template <typename Fn>
+sim::EventId schedule_inline(sim::Engine& engine, TimePoint at, Fn&& fn) {
+  static_assert(TaskFn::stores_inline<std::decay_t<Fn>>,
+                "lifecycle closure outgrew TaskFn's inline buffer");
+  return engine.schedule_at(at, std::forward<Fn>(fn));
+}
+
+}  // namespace
 
 SimAgent::SimAgent(sim::Engine& engine, sim::MachineProfile machine,
                    Count cores, std::unique_ptr<Scheduler> scheduler,
@@ -82,25 +100,32 @@ void SimAgent::cancel_waiting() {
   for (const auto& unit : cancelled) {
     (void)unit->advance_state(UnitState::kCanceled);
   }
+  // Checked after the cancellations: their observers may have routed
+  // new work here. Agents live as long as their pilot manager, so a
+  // finished pilot must not keep a slot table sized for its peak.
+  if (running_units() == 0) {
+    std::vector<Slot>().swap(slots_);
+    std::vector<std::size_t>().swap(free_slots_);
+  }
 }
 
 std::vector<ComputeUnitPtr> SimAgent::evict_inflight() {
   // Waiting units are already kPendingExecution.
   std::vector<ComputeUnitPtr> evicted = waiting_.drain();
-  evicted.reserve(evicted.size() + active_.size());
-  // In-flight units rewind; the epoch bump voids their pending events.
-  std::map<std::uint64_t, ComputeUnitPtr> inflight;
-  inflight.swap(active_);
-  active_seq_.clear();
-  unit_events_.clear();
-  for (auto& [seq, unit] : inflight) {
-    free_ += unit->description().cores;
-    --running_;
+  // In-flight units rewind, in launch order; the epoch bump voids their
+  // pending events.
+  std::vector<ComputeUnitPtr> inflight;
+  for (const std::size_t slot : slots_by_launch()) {
+    free_ += slots_[slot].unit->description().cores;
+    inflight.push_back(vacate(slot));
+  }
+  ENTK_CHECK(free_ <= capacity_, "core accounting out of sync");
+  evicted.reserve(evicted.size() + inflight.size());
+  for (auto& unit : inflight) {
     if (unit->advance_state(UnitState::kPendingExecution).is_ok()) {
       evicted.push_back(std::move(unit));
     }
   }
-  ENTK_CHECK(free_ <= capacity_, "core accounting out of sync");
   return evicted;
 }
 
@@ -129,11 +154,8 @@ void SimAgent::schedule_loop() {
   // Launch in the order the scheduler returned (arrival order).
   for (auto& unit : selected) {
     free_ -= unit->description().cores;
-    ++running_;
-    const std::uint64_t seq = next_launch_seq_++;
-    active_seq_.emplace(unit.get(), seq);
-    active_.emplace(seq, unit);
-    launch(std::move(unit));
+    const std::size_t slot = occupy(unit, next_launch_seq_++);
+    launch(std::move(unit), slot);
   }
 }
 
@@ -144,11 +166,12 @@ Status SimAgent::cancel_unit(const ComputeUnitPtr& unit) {
   }
   // Occupying cores: void its future events (their callbacks check the
   // unit state and epoch) and reclaim the cores now.
-  if (deactivate(unit.get())) {
+  const std::size_t slot = slot_of(*unit);
+  if (slot != kNoSlot) {
+    vacate(slot);
     ENTK_RETURN_IF_ERROR(unit->advance_state(UnitState::kCanceled));
     free_ += unit->description().cores;
     ENTK_CHECK(free_ <= capacity_, "core accounting out of sync");
-    --running_;
     schedule_loop();
     return Status::ok();
   }
@@ -156,20 +179,56 @@ Status SimAgent::cancel_unit(const ComputeUnitPtr& unit) {
                     "unit " + unit->uid() + " is not active on this agent");
 }
 
-bool SimAgent::deactivate(const ComputeUnit* unit) {
-  const auto it = active_seq_.find(unit);
-  if (it == active_seq_.end()) return false;
-  active_.erase(it->second);
-  active_seq_.erase(it);
-  unit_events_.erase(unit);
-  return true;
+std::size_t SimAgent::slot_of(const ComputeUnit& unit) const {
+  const std::size_t slot = unit.agent_slot();
+  if (slot < slots_.size() && slots_[slot].unit.get() == &unit) return slot;
+  return kNoSlot;
 }
 
-void SimAgent::release(const ComputeUnitPtr& unit) {
-  if (!deactivate(unit.get())) return;  // cancelled or evicted earlier
+std::size_t SimAgent::occupy(ComputeUnitPtr unit, std::uint64_t seq) {
+  std::size_t slot;
+  if (free_slots_.empty()) {
+    slot = slots_.size();
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  unit->set_agent_slot(slot);
+  Slot& held = slots_[slot];
+  held.seq = seq;
+  held.unit = std::move(unit);
+  held.events.count = 0;
+  return slot;
+}
+
+ComputeUnitPtr SimAgent::vacate(std::size_t slot) {
+  ComputeUnitPtr unit = std::move(slots_[slot].unit);
+  unit->set_agent_slot(kNoSlot);
+  free_slots_.push_back(slot);
+  return unit;
+}
+
+std::vector<std::size_t> SimAgent::slots_by_launch() const {
+  std::vector<std::size_t> order;
+  order.reserve(running_units());
+  for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot].unit != nullptr) order.push_back(slot);
+  }
+  std::sort(order.begin(), order.end(),
+            [this](std::size_t a, std::size_t b) {
+              return slots_[a].seq < slots_[b].seq;
+            });
+  return order;
+}
+
+void SimAgent::release(std::size_t slot, const ComputeUnit* unit) {
+  // Cancelled, evicted or killed earlier: the slot is free, holds
+  // another unit by now, or went with the slot table.
+  if (slot >= slots_.size() || slots_[slot].unit.get() != unit) return;
   free_ += unit->description().cores;
+  vacate(slot);
   ENTK_CHECK(free_ <= capacity_, "core accounting out of sync");
-  --running_;
   schedule_loop();
 }
 
@@ -189,13 +248,10 @@ void SimAgent::handle_node_failure() {
   // must see a consistent pool — and never find a relaunched unit on
   // the kill list.
   std::vector<ComputeUnitPtr> victims;
-  while (deficit > 0 && !active_.empty()) {
-    const auto newest = std::prev(active_.end());
-    ComputeUnitPtr victim = std::move(newest->second);
-    active_seq_.erase(victim.get());
-    active_.erase(newest);
-    unit_events_.erase(victim.get());
-    --running_;
+  std::vector<std::size_t> by_launch = slots_by_launch();
+  while (deficit > 0 && !by_launch.empty()) {
+    ComputeUnitPtr victim = vacate(by_launch.back());
+    by_launch.pop_back();
     const Count cores = victim->description().cores;
     if (cores >= deficit) {
       free_ += cores - deficit;
@@ -227,7 +283,7 @@ void SimAgent::handle_node_failure() {
   if (capacity_ >= 1) schedule_loop();
 }
 
-void SimAgent::launch(ComputeUnitPtr unit) {
+void SimAgent::launch(ComputeUnitPtr unit, std::size_t slot) {
   const auto& desc = unit->description();
   ENTK_TRACE_INSTANT_FLOW_S("unit.launched", "agent", unit->trace_flow(),
                             trace_ordinal_, unit->session_ordinal());
@@ -251,7 +307,7 @@ void SimAgent::launch(ComputeUnitPtr unit) {
   // Transient launch failure: the spawn itself fails — no execution,
   // no output staging; a retry usually succeeds.
   if (faults_ != nullptr && faults_->draw_launch_failure()) {
-    schedule_launch_fail(unit, epoch, exec_start);
+    schedule_launch_fail(unit, epoch, slot, exec_start);
     return;
   }
 
@@ -262,33 +318,35 @@ void SimAgent::launch(ComputeUnitPtr unit) {
       (desc.simulated_hang && unit->retries() == 0) ||
       (faults_ != nullptr && faults_->draw_hang());
 
-  schedule_exec_start(unit, epoch, exec_start);
-  if (!hangs) schedule_complete(unit, epoch, exec_stop);
+  schedule_exec_start(unit, epoch, slot, exec_start);
+  if (!hangs) schedule_complete(unit, epoch, slot, exec_stop);
   if (desc.retry.execution_timeout > 0.0) {
-    schedule_timeout(unit, epoch,
+    schedule_timeout(unit, epoch, slot,
                      exec_start + desc.retry.execution_timeout);
   }
 }
 
 void SimAgent::schedule_launch_fail(const ComputeUnitPtr& unit,
-                                    Count epoch, TimePoint at) {
-  const sim::EventId id = engine_.schedule_at(at, [this, unit, epoch] {
-    if (unit->epoch() != epoch ||
-        unit->state() != UnitState::kStagingInput) {
-      return;
-    }
-    (void)unit->advance_state(
-        UnitState::kFailed,
-        make_error(Errc::kExecutionFailed,
-                   "unit " + unit->uid() + " launch failed (transient)"));
-    release(unit);
-  });
-  record_event(unit.get(), UnitEventKind::kLaunchFail, epoch, id);
+                                    Count epoch, std::size_t slot,
+                                    TimePoint at) {
+  const sim::EventId id =
+      schedule_inline(engine_, at, [this, unit, epoch, slot] {
+        if (unit->epoch() != epoch ||
+            unit->state() != UnitState::kStagingInput) {
+          return;
+        }
+        (void)unit->advance_state(
+            UnitState::kFailed,
+            make_error(Errc::kExecutionFailed,
+                       "unit " + unit->uid() + " launch failed (transient)"));
+        release(slot, unit.get());
+      });
+  record_event(slot, UnitEventKind::kLaunchFail, epoch, id);
 }
 
-void SimAgent::schedule_exec_start(const ComputeUnitPtr& unit,
-                                   Count epoch, TimePoint at) {
-  const sim::EventId id = engine_.schedule_at(at, [unit, epoch] {
+void SimAgent::schedule_exec_start(const ComputeUnitPtr& unit, Count epoch,
+                                   std::size_t slot, TimePoint at) {
+  const sim::EventId id = schedule_inline(engine_, at, [unit, epoch] {
     if (unit->epoch() != epoch ||
         unit->state() != UnitState::kStagingInput) {
       return;
@@ -296,55 +354,58 @@ void SimAgent::schedule_exec_start(const ComputeUnitPtr& unit,
     ENTK_CHECK(unit->advance_state(UnitState::kExecuting).is_ok(),
                "unit lost before execution");
   });
-  record_event(unit.get(), UnitEventKind::kExecStart, epoch, id);
+  record_event(slot, UnitEventKind::kExecStart, epoch, id);
 }
 
 void SimAgent::schedule_complete(const ComputeUnitPtr& unit, Count epoch,
-                                 TimePoint at) {
-  const sim::EventId id = engine_.schedule_at(at, [this, unit, epoch] {
-    if (unit->epoch() != epoch ||
-        unit->state() != UnitState::kExecuting) {
-      return;
-    }
-    finalize(unit);
-  });
-  record_event(unit.get(), UnitEventKind::kComplete, epoch, id);
+                                 std::size_t slot, TimePoint at) {
+  const sim::EventId id =
+      schedule_inline(engine_, at, [this, unit, epoch, slot] {
+        if (unit->epoch() != epoch ||
+            unit->state() != UnitState::kExecuting) {
+          return;
+        }
+        finalize(unit, slot);
+      });
+  record_event(slot, UnitEventKind::kComplete, epoch, id);
 }
 
 void SimAgent::schedule_timeout(const ComputeUnitPtr& unit, Count epoch,
-                                TimePoint at) {
-  const sim::EventId id = engine_.schedule_at(at, [this, unit, epoch] {
-    if (unit->epoch() != epoch ||
-        unit->state() != UnitState::kExecuting) {
-      return;
-    }
-    (void)unit->advance_state(
-        UnitState::kFailed,
-        make_error(Errc::kTimedOut,
-                   "unit " + unit->uid() +
-                       " exceeded its execution timeout"));
-    release(unit);
-  });
-  record_event(unit.get(), UnitEventKind::kTimeout, epoch, id);
+                                std::size_t slot, TimePoint at) {
+  const sim::EventId id =
+      schedule_inline(engine_, at, [this, unit, epoch, slot] {
+        if (unit->epoch() != epoch ||
+            unit->state() != UnitState::kExecuting) {
+          return;
+        }
+        (void)unit->advance_state(
+            UnitState::kFailed,
+            make_error(Errc::kTimedOut,
+                       "unit " + unit->uid() +
+                           " exceeded its execution timeout"));
+        release(slot, unit.get());
+      });
+  record_event(slot, UnitEventKind::kTimeout, epoch, id);
 }
 
 void SimAgent::schedule_stage_out(const ComputeUnitPtr& unit, Count epoch,
-                                  TimePoint at) {
-  const sim::EventId id = engine_.schedule_at(at, [this, unit, epoch] {
-    if (unit->epoch() != epoch ||
-        unit->state() != UnitState::kStagingOutput) {
-      return;
-    }
-    ENTK_CHECK(unit->advance_state(UnitState::kDone).is_ok(),
-               "unit lost before done");
-    release(unit);
-  });
-  record_event(unit.get(), UnitEventKind::kStageOutDone, epoch, id);
+                                  std::size_t slot, TimePoint at) {
+  const sim::EventId id =
+      schedule_inline(engine_, at, [this, unit, epoch, slot] {
+        if (unit->epoch() != epoch ||
+            unit->state() != UnitState::kStagingOutput) {
+          return;
+        }
+        ENTK_CHECK(unit->advance_state(UnitState::kDone).is_ok(),
+                   "unit lost before done");
+        release(slot, unit.get());
+      });
+  record_event(slot, UnitEventKind::kStageOutDone, epoch, id);
 }
 
-void SimAgent::record_event(const ComputeUnit* unit, UnitEventKind kind,
+void SimAgent::record_event(std::size_t slot, UnitEventKind kind,
                             Count epoch, sim::EventId id) {
-  TrackedEvents& tracked = unit_events_[unit];
+  TrackedEvents& tracked = slots_[slot].events;
   if (tracked.count == tracked.entries.size()) {
     // Compact: drop records whose event already fired or was voided.
     std::uint8_t kept = 0;
@@ -362,22 +423,26 @@ void SimAgent::record_event(const ComputeUnit* unit, UnitEventKind kind,
 
 void SimAgent::repost_event(const ComputeUnitPtr& unit, UnitEventKind kind,
                             TimePoint at) {
+  const std::size_t slot = slot_of(*unit);
+  ENTK_CHECK(slot != kNoSlot,
+             "event reposted for unit " + unit->uid() +
+                 ", which holds no cores on this agent");
   const Count epoch = unit->epoch();
   switch (kind) {
     case UnitEventKind::kLaunchFail:
-      schedule_launch_fail(unit, epoch, at);
+      schedule_launch_fail(unit, epoch, slot, at);
       break;
     case UnitEventKind::kExecStart:
-      schedule_exec_start(unit, epoch, at);
+      schedule_exec_start(unit, epoch, slot, at);
       break;
     case UnitEventKind::kComplete:
-      schedule_complete(unit, epoch, at);
+      schedule_complete(unit, epoch, slot, at);
       break;
     case UnitEventKind::kTimeout:
-      schedule_timeout(unit, epoch, at);
+      schedule_timeout(unit, epoch, slot, at);
       break;
     case UnitEventKind::kStageOutDone:
-      schedule_stage_out(unit, epoch, at);
+      schedule_stage_out(unit, epoch, slot, at);
       break;
   }
 }
@@ -387,7 +452,7 @@ SimAgent::SavedState SimAgent::save_state() const {
   SavedState saved;
   saved.capacity = capacity_;
   saved.free = free_;
-  saved.running = running_;
+  saved.running = running_units();
   saved.next_launch_seq = next_launch_seq_;
   saved.scheduler_cycles = scheduler_cycles_;
   saved.spawn_total = spawn_total_;
@@ -395,15 +460,15 @@ SimAgent::SavedState SimAgent::save_state() const {
   for (const auto& unit : waiting_.snapshot()) {
     saved.waiting.push_back(unit->uid());
   }
-  // active_ iterates in launch order, so the serialized unit order —
-  // and with it the event order below — is deterministic.
-  for (const auto& [seq, unit] : active_) {
-    saved.active.emplace_back(seq, unit->uid());
-    const auto it = unit_events_.find(unit.get());
-    if (it == unit_events_.end()) continue;
+  // Launch order makes the serialized unit order — and with it the
+  // event order below — deterministic.
+  for (const std::size_t slot : slots_by_launch()) {
+    const Slot& held = slots_[slot];
+    const ComputeUnitPtr& unit = held.unit;
+    saved.active.emplace_back(held.seq, unit->uid());
     const Count epoch = unit->epoch();
-    for (std::uint8_t i = 0; i < it->second.count; ++i) {
-      const auto& entry = it->second.entries[i];
+    for (std::uint8_t i = 0; i < held.events.count; ++i) {
+      const auto& entry = held.events.entries[i];
       // Stale (already fired) or void (dead attempt) events would be
       // behavioral no-ops in the uninterrupted run too: drop them.
       if (entry.epoch != epoch || !engine_.pending(entry.id)) continue;
@@ -418,11 +483,14 @@ SimAgent::SavedState SimAgent::save_state() const {
 void SimAgent::restore_state(const SavedState& saved,
                              const UnitResolver& resolve) {
   ENTK_CHECK(started_, "cannot restore into an unstarted agent");
-  ENTK_CHECK(active_.empty() && waiting_.empty() && running_ == 0,
+  ENTK_CHECK(running_units() == 0 && waiting_.empty(),
              "cannot restore into an agent with units in flight");
+  ENTK_CHECK(saved.running == saved.active.size(),
+             "checkpoint counts " + std::to_string(saved.running) +
+                 " running units but lists " +
+                 std::to_string(saved.active.size()));
   capacity_ = saved.capacity;
   free_ = saved.free;
-  running_ = saved.running;
   next_launch_seq_ = saved.next_launch_seq;
   scheduler_cycles_ = saved.scheduler_cycles;
   spawn_total_ = saved.spawn_total;
@@ -435,12 +503,11 @@ void SimAgent::restore_state(const SavedState& saved,
   for (const auto& [seq, uid] : saved.active) {
     ComputeUnitPtr unit = resolve(uid);
     ENTK_CHECK(unit != nullptr, "checkpoint names unknown unit " + uid);
-    active_seq_.emplace(unit.get(), seq);
-    active_.emplace(seq, std::move(unit));
+    occupy(std::move(unit), seq);
   }
 }
 
-void SimAgent::finalize(const ComputeUnitPtr& unit) {
+void SimAgent::finalize(const ComputeUnitPtr& unit, std::size_t slot) {
   const auto& desc = unit->description();
   // `simulated_fail` injects one failure on the first execution so that
   // retry logic can be exercised deterministically.
@@ -456,13 +523,13 @@ void SimAgent::finalize(const ComputeUnitPtr& unit) {
                                       " failed (injected)"))
                    .is_ok(),
                "failing unit");
-    release(unit);
+    release(slot, unit.get());
     return;
   }
   const Count epoch = unit->epoch();
   ENTK_CHECK(unit->advance_state(UnitState::kStagingOutput).is_ok(),
              "unit lost before output staging");
-  schedule_stage_out(unit, epoch, engine_.now() + stage_out);
+  schedule_stage_out(unit, epoch, slot, engine_.now() + stage_out);
 }
 
 }  // namespace entk::pilot

@@ -8,10 +8,11 @@
 // over-subscribe the pilot.
 //
 // The backlog lives in a core-count-bucketed WaitingIndex fed
-// incrementally on submit/settle, and units holding cores are tracked
-// in a launch-ordered map — both keep every per-unit bookkeeping step
-// sublinear in the backlog, which is what lets a single agent absorb
-// 100k-unit ensembles (see docs/PERFORMANCE.md).
+// incrementally on submit/settle, and each unit holding cores sits in a
+// slot of a recycled slot table that the unit itself points back to —
+// so launch, release, cancel and event bookkeeping are O(1) per unit,
+// with no map node built or freed, which is what lets a single agent
+// absorb 100k-unit ensembles (see docs/PERFORMANCE.md).
 //
 // When the machine profile carries an enabled FaultSpec the agent also
 // models faults: node failures shrink its capacity and kill the units
@@ -24,10 +25,8 @@
 #include <array>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "pilot/agent.hpp"
@@ -57,6 +56,8 @@ class SimAgent final : public Agent {
 
   void start(std::function<void()> on_ready) override;
   Status submit(std::vector<ComputeUnitPtr> units) override;
+  /// Also frees the slot table when no unit holds cores: a pilot that
+  /// finished this way keeps no per-unit storage.
   void cancel_waiting() override;
   Status cancel_unit(const ComputeUnitPtr& unit) override;
   std::vector<ComputeUnitPtr> evict_inflight() override;
@@ -64,7 +65,9 @@ class SimAgent final : public Agent {
   Count total_cores() const override { return capacity_; }
   Count free_cores() const override { return free_; }
   std::size_t waiting_units() const override { return waiting_.size(); }
-  std::size_t running_units() const override { return running_; }
+  std::size_t running_units() const override {
+    return slots_.size() - free_slots_.size();
+  }
   Duration total_spawn_overhead() const override { return spawn_total_; }
 
   /// Cores lost to node failures so far.
@@ -110,26 +113,35 @@ class SimAgent final : public Agent {
 
  private:
   void schedule_loop();
-  void launch(ComputeUnitPtr unit);
-  void finalize(const ComputeUnitPtr& unit);
+  void launch(ComputeUnitPtr unit, std::size_t slot);
+  void finalize(const ComputeUnitPtr& unit, std::size_t slot);
   // Guarded lifecycle-event factories shared by launch()/finalize()
-  // and repost_event(); each schedules at `at` and tracks the id.
+  // and repost_event(); each schedules at `at` and records the id in
+  // the unit's slot.
   void schedule_launch_fail(const ComputeUnitPtr& unit, Count epoch,
-                            TimePoint at);
+                            std::size_t slot, TimePoint at);
   void schedule_exec_start(const ComputeUnitPtr& unit, Count epoch,
-                           TimePoint at);
+                           std::size_t slot, TimePoint at);
   void schedule_complete(const ComputeUnitPtr& unit, Count epoch,
-                         TimePoint at);
+                         std::size_t slot, TimePoint at);
   void schedule_timeout(const ComputeUnitPtr& unit, Count epoch,
-                        TimePoint at);
+                        std::size_t slot, TimePoint at);
   void schedule_stage_out(const ComputeUnitPtr& unit, Count epoch,
-                          TimePoint at);
-  void record_event(const ComputeUnit* unit, UnitEventKind kind,
-                    Count epoch, sim::EventId id);
-  /// Returns the unit's cores to the pool if it still occupies them.
-  void release(const ComputeUnitPtr& unit);
-  /// Removes a unit from the active set; returns false when absent.
-  bool deactivate(const ComputeUnit* unit);
+                          std::size_t slot, TimePoint at);
+  void record_event(std::size_t slot, UnitEventKind kind, Count epoch,
+                    sim::EventId id);
+  /// Returns the unit's cores to the pool if `slot` still holds it.
+  void release(std::size_t slot, const ComputeUnit* unit);
+  /// The slot holding `unit`, or ComputeUnit::kNoIndex when it holds
+  /// no cores here. O(1): the unit records its slot.
+  std::size_t slot_of(const ComputeUnit& unit) const;
+  /// Puts a launched unit in a free slot; returns the slot.
+  std::size_t occupy(ComputeUnitPtr unit, std::uint64_t seq);
+  /// Frees a slot and returns the unit it held.
+  ComputeUnitPtr vacate(std::size_t slot);
+  /// Occupied slots in launch order (checkpoint capture, eviction and
+  /// node failures: the rare paths that need that order).
+  std::vector<std::size_t> slots_by_launch() const;
   /// One node of this pilot died: shrink capacity and kill the units
   /// that were executing on it.
   void handle_node_failure();
@@ -145,17 +157,11 @@ class SimAgent final : public Agent {
   Count capacity_;  ///< Current cores (shrinks on node failures).
   Count free_;
   WaitingIndex waiting_;
-  std::size_t running_ = 0;
-  /// Units currently holding cores (launch -> release window), keyed
-  /// by launch order — node failures kill from the back (newest first)
-  /// and release() finds any unit in O(log active).
-  std::map<std::uint64_t, ComputeUnitPtr> active_;
-  std::unordered_map<const ComputeUnit*, std::uint64_t> active_seq_;
-  /// Engine events scheduled for each active unit. Fixed capacity: at
-  /// most 3 are pending at once (exec_start + complete + timeout), but
-  /// stale (already-fired) records linger until compacted, so keep one
-  /// spare. Stale entries are filtered by generation at capture time;
-  /// the whole record dies with the unit's active_ entry.
+  /// Engine events scheduled for one unit holding cores. Fixed
+  /// capacity: at most 3 are pending at once (exec_start + complete +
+  /// timeout), but stale (already-fired) records linger until
+  /// compacted, so keep one spare. Stale entries are filtered by
+  /// generation at capture time; the record is cleared with its slot.
   struct TrackedEvents {
     struct Entry {
       sim::EventId id = sim::kInvalidEvent;
@@ -165,7 +171,21 @@ class SimAgent final : public Agent {
     std::array<Entry, 4> entries;
     std::uint8_t count = 0;
   };
-  std::unordered_map<const ComputeUnit*, TrackedEvents> unit_events_;
+  /// One unit holding cores (launch -> release window). The lifecycle
+  /// closures carry the slot index and the unit records it
+  /// (ComputeUnit::agent_slot). A freed slot goes on free_slots_ for
+  /// the next launch, so a closure that outlives its unit may find the
+  /// slot holding another unit, or none, and must leave it alone.
+  /// Launch order (node failures kill the newest launch first;
+  /// checkpoints list units in launch order) is the seq, sorted on
+  /// those rare paths.
+  struct Slot {
+    std::uint64_t seq = 0;
+    ComputeUnitPtr unit;  ///< null while the slot is free
+    TrackedEvents events;
+  };
+  std::vector<Slot> slots_;
+  std::vector<std::size_t> free_slots_;
   std::uint64_t next_launch_seq_ = 0;
   std::uint64_t scheduler_cycles_ = 0;
   const std::uint32_t trace_ordinal_;

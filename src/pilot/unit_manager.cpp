@@ -58,8 +58,7 @@ Result<std::vector<ComputeUnitPtr>> UnitManager::submit_units(
   {
     MutexLock lock(mutex_);
     for (const auto& unit : units) {
-      entries_.emplace(unit.get(), Entry{unit, false});
-      ++unsettled_;
+      add_entry_locked(unit, false, false);
       unrouted_.push_back(unit);
       ++total_units_;
     }
@@ -106,7 +105,7 @@ void UnitManager::route_pending() {
         }
       }
       if (target == nullptr) {
-        settle_entry_locked(*unit);
+        // Settled (or retried) by the kFailed transition below.
         oversized.push_back(std::move(unit));
         continue;
       }
@@ -148,9 +147,9 @@ void UnitManager::handle_state_change(ComputeUnit& unit, UnitState state) {
   ComputeUnitPtr retry;
   {
     MutexLock lock(mutex_);
-    const auto it = entries_.find(&unit);
-    if (it == entries_.end()) return;  // not managed here
-    if (unit.retries() < policy.max_retries) retry = it->second.unit;
+    const Entry* entry = entry_locked(unit);
+    if (entry == nullptr) return;  // not managed here
+    if (unit.retries() < policy.max_retries) retry = entry->unit;
   }
   if (retry == nullptr) {  // retry budget exhausted: final failure
     settle_and_notify(unit, UnitState::kFailed);
@@ -208,8 +207,8 @@ void UnitManager::schedule_retry_requeue(ComputeUnitPtr retry,
         {
           MutexLock lock(mutex_);
           retry_timers_.erase(retry.get());
-          const auto it = entries_.find(retry.get());
-          if (it != entries_.end() && !it->second.settled &&
+          const Entry* entry = entry_locked(*retry);
+          if (entry != nullptr && !entry->settled &&
               retry->state() == UnitState::kPendingExecution) {
             unrouted_.push_back(retry);
             requeued = true;
@@ -232,12 +231,12 @@ void UnitManager::settle_and_notify(ComputeUnit& unit, UnitState state) {
   std::shared_ptr<const ObserverList> observers;
   {
     MutexLock lock(mutex_);
-    const auto it = entries_.find(&unit);
-    if (it == entries_.end()) return;  // not managed here
-    settle_entry_locked(it->second);
-    if (it->second.notified) return;  // already reported
-    it->second.notified = true;
-    settled = it->second.unit;
+    Entry* entry = entry_locked(unit);
+    if (entry == nullptr) return;  // not managed here
+    settle_entry_locked(*entry);
+    if (entry->notified) return;  // already reported
+    entry->notified = true;
+    settled = entry->unit;
     // Snapshot by refcount, not by copy: the list is immutable (adds
     // and removes swap in a fresh one), so it stays valid — and any
     // observer registered mid-settle simply misses this unit, the same
@@ -309,8 +308,8 @@ void UnitManager::recover_from_pilot(Pilot& pilot) {
   {
     MutexLock lock(mutex_);
     for (auto& unit : stranded) {
-      const auto it = entries_.find(unit.get());
-      if (it == entries_.end() || it->second.settled) continue;
+      const Entry* entry = entry_locked(*unit);
+      if (entry == nullptr || entry->settled) continue;
       unrouted_.push_back(std::move(unit));
       ++requeued;
     }
@@ -361,13 +360,12 @@ Status UnitManager::drain(Duration timeout) {
   std::vector<ComputeUnitPtr> open;
   {
     MutexLock lock(mutex_);
-    for (const auto& [key, entry] : entries_) {
+    for (const Entry& entry : entries_) {
       if (!entry.settled) open.push_back(entry.unit);
     }
   }
   if (open.empty()) return Status::ok();
-  // entries_ iteration order is unordered; cancel in uid order so
-  // teardown is deterministic.
+  // Cancel in uid order, the order teardown has always used.
   std::sort(open.begin(), open.end(),
             [](const ComputeUnitPtr& a, const ComputeUnitPtr& b) {
               return a->uid() < b->uid();
@@ -385,9 +383,9 @@ Status UnitManager::drain(Duration timeout) {
     bool was_held = false;
     {
       MutexLock lock(mutex_);
-      const auto it = entries_.find(unit.get());
-      if (it != entries_.end() && !it->second.settled) {
-        settle_entry_locked(it->second);
+      Entry* entry = entry_locked(*unit);
+      if (entry != nullptr && !entry->settled) {
+        settle_entry_locked(*entry);
         retry_timers_.erase(unit.get());
         was_held = true;
       }
@@ -413,9 +411,9 @@ Status UnitManager::wait_units(const std::vector<ComputeUnitPtr>& units,
 }
 
 bool UnitManager::settled_locked(const ComputeUnit& unit) const {
-  const auto it = entries_.find(&unit);
-  if (it == entries_.end()) return is_final(unit.state());
-  return it->second.settled;
+  const Entry* entry = entry_locked(unit);
+  if (entry == nullptr) return is_final(unit.state());
+  return entry->settled;
 }
 
 std::size_t UnitManager::total_units() const {
@@ -435,8 +433,29 @@ void UnitManager::settle_entry_locked(Entry& entry) {
 }
 
 void UnitManager::settle_entry_locked(const ComputeUnit& unit) {
-  const auto it = entries_.find(&unit);
-  if (it != entries_.end()) settle_entry_locked(it->second);
+  if (Entry* entry = entry_locked(unit)) settle_entry_locked(*entry);
+}
+
+UnitManager::Entry* UnitManager::entry_locked(const ComputeUnit& unit) {
+  const std::size_t index = unit.manager_index();
+  if (index >= entries_.size()) return nullptr;
+  Entry& entry = entries_[index];
+  return entry.unit.get() == &unit ? &entry : nullptr;
+}
+
+const UnitManager::Entry* UnitManager::entry_locked(
+    const ComputeUnit& unit) const {
+  const std::size_t index = unit.manager_index();
+  if (index >= entries_.size()) return nullptr;
+  const Entry& entry = entries_[index];
+  return entry.unit.get() == &unit ? &entry : nullptr;
+}
+
+void UnitManager::add_entry_locked(const ComputeUnitPtr& unit, bool settled,
+                                   bool notified) {
+  unit->set_manager_index(entries_.size());
+  entries_.push_back(Entry{unit, settled, notified});
+  if (!settled) ++unsettled_;
 }
 
 std::size_t UnitManager::total_retries() const {
@@ -485,18 +504,17 @@ ComputeUnitPtr UnitManager::restore_unit(
       session_ordinal_, this, gate_);
   unit->restore_state(state);
   MutexLock lock(mutex_);
-  entries_.emplace(unit.get(), Entry{unit, settled, notified});
-  if (!settled) ++unsettled_;
+  add_entry_locked(unit, settled, notified);
   return unit;
 }
 
 bool UnitManager::unit_entry(const ComputeUnit* unit, bool& settled,
                              bool& notified) const {
   MutexLock lock(mutex_);
-  const auto it = entries_.find(unit);
-  if (it == entries_.end()) return false;
-  settled = it->second.settled;
-  notified = it->second.notified;
+  const Entry* entry = entry_locked(*unit);
+  if (entry == nullptr) return false;
+  settled = entry->settled;
+  notified = entry->notified;
   return true;
 }
 
@@ -507,9 +525,9 @@ UnitManager::pending_retries() const {
     MutexLock lock(mutex_);
     out.reserve(retry_timers_.size());
     for (const auto& [key, token] : retry_timers_) {
-      const auto it = entries_.find(key);
-      if (it == entries_.end()) continue;
-      out.emplace_back(it->second.unit, token);
+      const Entry* entry = entry_locked(*key);
+      if (entry == nullptr) continue;
+      out.emplace_back(entry->unit, token);
     }
   }
   std::sort(out.begin(), out.end(),

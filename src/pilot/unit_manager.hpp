@@ -228,6 +228,15 @@ class UnitManager {
     bool settled = false;
     bool notified = false;  ///< Settled observers already fired.
   };
+  /// The entry of a unit this manager created, found by its
+  /// manager_index(); nullptr for any other unit.
+  Entry* entry_locked(const ComputeUnit& unit) ENTK_REQUIRES(mutex_);
+  const Entry* entry_locked(const ComputeUnit& unit) const
+      ENTK_REQUIRES(mutex_);
+  /// Appends the entry of a unit this manager just created or rebuilt,
+  /// and gives the unit its index.
+  void add_entry_locked(const ComputeUnitPtr& unit, bool settled,
+                        bool notified) ENTK_REQUIRES(mutex_);
   /// Flips an entry to settled and keeps unsettled_ in step; every
   /// place that settles an entry goes through one of these.
   void settle_entry_locked(Entry& entry) ENTK_REQUIRES(mutex_);
@@ -238,8 +247,9 @@ class UnitManager {
   std::vector<PilotPtr> pilots_ ENTK_GUARDED_BY(mutex_);
   std::size_t next_pilot_ ENTK_GUARDED_BY(mutex_) = 0;  // round-robin cursor
   std::deque<ComputeUnitPtr> unrouted_ ENTK_GUARDED_BY(mutex_);
-  std::unordered_map<const ComputeUnit*, Entry> entries_
-      ENTK_GUARDED_BY(mutex_);
+  /// Every unit this manager created or rebuilt, in creation order:
+  /// entries_[unit->manager_index()].
+  std::vector<Entry> entries_ ENTK_GUARDED_BY(mutex_);
   /// Entries with settled == false: inflight_units() is polled on every
   /// entk-serve drive iteration, so it must not scan entries_.
   std::size_t unsettled_ ENTK_GUARDED_BY(mutex_) = 0;

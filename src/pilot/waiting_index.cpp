@@ -27,15 +27,22 @@ bool WaitingIndex::erase(const ComputeUnit* unit) {
                    [unit](const Picked& p) { return p.unit.get() == unit; });
   ENTK_CHECK(entry != bucket.end(), "waiting index out of sync");
   bucket.erase(entry);
-  if (bucket.empty()) buckets_.erase(it);
   bucket_of_.erase(where);
   --size_;
   return true;
 }
 
+Count WaitingIndex::min_cores() const {
+  for (const auto& [cores, bucket] : buckets_) {
+    if (!bucket.empty()) return cores;
+  }
+  return 0;
+}
+
 const ComputeUnitPtr* WaitingIndex::fifo_head() const {
   const Picked* head = nullptr;
   for (const auto& [cores, bucket] : buckets_) {
+    if (bucket.empty()) continue;
     const Picked& front = bucket.front();
     if (head == nullptr || front.seq < head->seq) head = &front;
   }
@@ -44,22 +51,20 @@ const ComputeUnitPtr* WaitingIndex::fifo_head() const {
 
 WaitingIndex::Picked WaitingIndex::pop_fifo_head() {
   ENTK_CHECK(!empty(), "pop from an empty waiting index");
-  auto best = buckets_.end();
-  for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
-    if (best == buckets_.end() ||
-        it->second.front().seq < best->second.front().seq) {
-      best = it;
-    }
-  }
   Picked out;
-  pop_from(best, out);
+  pop_earliest(buckets_.end(), out);
   return out;
 }
 
 bool WaitingIndex::pop_earliest_fitting(Count budget, Picked& out) {
-  const auto end = buckets_.upper_bound(budget);
+  return pop_earliest(buckets_.upper_bound(budget), out);
+}
+
+bool WaitingIndex::pop_earliest(std::map<Count, Bucket>::iterator end,
+                                Picked& out) {
   auto best = end;
   for (auto it = buckets_.begin(); it != end; ++it) {
+    if (it->second.empty()) continue;
     if (best == end || it->second.front().seq < best->second.front().seq) {
       best = it;
     }
@@ -71,10 +76,13 @@ bool WaitingIndex::pop_earliest_fitting(Count budget, Picked& out) {
 
 bool WaitingIndex::pop_largest_fitting(Count budget, Picked& out) {
   auto it = buckets_.upper_bound(budget);
-  if (it == buckets_.begin()) return false;
-  --it;
-  pop_from(it, out);
-  return true;
+  while (it != buckets_.begin()) {
+    --it;
+    if (it->second.empty()) continue;
+    pop_from(it, out);
+    return true;
+  }
+  return false;
 }
 
 std::vector<ComputeUnitPtr> WaitingIndex::drain() {
@@ -86,7 +94,8 @@ std::vector<ComputeUnitPtr> WaitingIndex::drain() {
   std::sort(all.begin(), all.end(),
             [](const Picked& a, const Picked& b) { return a.seq < b.seq; });
   buckets_.clear();
-  bucket_of_.clear();
+  // clear() would keep the hash table's bucket array.
+  decltype(bucket_of_)().swap(bucket_of_);
   size_ = 0;
   std::vector<ComputeUnitPtr> units;
   units.reserve(all.size());
@@ -113,7 +122,6 @@ void WaitingIndex::pop_from(std::map<Count, Bucket>::iterator it,
   Bucket& bucket = it->second;
   out = std::move(bucket.front());
   bucket.pop_front();
-  if (bucket.empty()) buckets_.erase(it);
   bucket_of_.erase(out.unit.get());
   --size_;
 }

@@ -11,10 +11,12 @@
 //
 // Arrival seqs are monotone, so "earliest waiting unit", "earliest
 // unit fitting a budget" and "largest unit fitting a budget" are all
-// answered from bucket fronts in O(distinct core counts) or
-// O(log distinct core counts) — never O(waiting units). Agents feed
-// the index incrementally on submit/settle; nothing is rebuilt per
-// cycle.
+// answered from bucket fronts in O(distinct core counts) — never
+// O(waiting units). Agents feed the index incrementally on
+// submit/settle; nothing is rebuilt per cycle. A bucket that empties
+// stays in place (the queries skip it), so an agent with no backlog
+// does not build and free a bucket for every unit; drain() frees them
+// all.
 //
 // The index is not thread-safe; its owner (SimAgent on the engine
 // thread, LocalAgent under its mutex) serializes access.
@@ -45,18 +47,12 @@ class WaitingIndex {
   /// Removes one unit wherever it waits; returns false when absent.
   bool erase(const ComputeUnit* unit);
 
-  bool contains(const ComputeUnit* unit) const {
-    return bucket_of_.count(unit) != 0;
-  }
-
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
   /// Smallest core demand among waiting units (0 when empty): lets the
   /// agent skip a cycle when nothing can possibly fit.
-  Count min_cores() const {
-    return buckets_.empty() ? 0 : buckets_.begin()->first;
-  }
+  Count min_cores() const;
 
   /// Earliest-arrived unit overall (FIFO head), nullptr when empty.
   const ComputeUnitPtr* fifo_head() const;
@@ -69,7 +65,8 @@ class WaitingIndex {
   /// false when none fits.
   bool pop_largest_fitting(Count budget, Picked& out);
 
-  /// Removes and returns every unit in arrival order.
+  /// Removes and returns every unit in arrival order, and frees every
+  /// bucket.
   std::vector<ComputeUnitPtr> drain();
 
   /// Every waiting unit in arrival order, without disturbing the index
@@ -80,9 +77,12 @@ class WaitingIndex {
  private:
   using Bucket = std::deque<Picked>;
 
+  /// Pops the earliest-arrived unit among the buckets before `end`;
+  /// false when they are all empty.
+  bool pop_earliest(std::map<Count, Bucket>::iterator end, Picked& out);
   void pop_from(std::map<Count, Bucket>::iterator it, Picked& out);
 
-  std::map<Count, Bucket> buckets_;  // never holds an empty bucket
+  std::map<Count, Bucket> buckets_;  // emptied buckets are kept
   std::unordered_map<const ComputeUnit*, Count> bucket_of_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;

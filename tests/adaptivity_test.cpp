@@ -82,6 +82,46 @@ TEST_F(CancelUnitTest, KillExecutingUnitReclaimsCores) {
   EXPECT_LT(backend_.engine().now(), killed_at + 50.0);
 }
 
+TEST_F(CancelUnitTest,
+       StaleEventsOfAKilledUnitLeaveItsSlotsNextOccupantAlone) {
+  // A killed unit's completion and stage-out events stay queued; the
+  // agent reuses its slot for the next launch, and those stale events
+  // must neither finish nor release the new occupant.
+  auto pilot = make_active_pilot(1);
+  pilot::UnitManager units(backend_);
+  units.add_pilot(pilot);
+  auto submitted = units.submit_units({sim_unit(100.0), sim_unit(1000.0)});
+  ASSERT_TRUE(submitted.ok());
+  const pilot::ComputeUnitPtr killed = submitted.value()[0];
+  const pilot::ComputeUnitPtr next = submitted.value()[1];
+  ASSERT_TRUE(backend_
+                  .drive_until([&] {
+                    return killed->state() == pilot::UnitState::kExecuting;
+                  })
+                  .is_ok());
+  const TimePoint killed_started = killed->exec_started_at();
+  ASSERT_TRUE(units.cancel_unit(killed).is_ok());
+  ASSERT_TRUE(backend_
+                  .drive_until([&] {
+                    return next->state() == pilot::UnitState::kExecuting;
+                  })
+                  .is_ok());
+  // Well past where the killed unit would have completed and staged
+  // out.
+  EXPECT_EQ(backend_.drive_until([] { return false; }, 200.0).code(),
+            Errc::kTimedOut);
+  ASSERT_GT(backend_.engine().now(), killed_started + 200.0);
+  EXPECT_EQ(next->state(), pilot::UnitState::kExecuting);
+  EXPECT_EQ(pilot->agent()->free_cores(), 0);
+  EXPECT_EQ(pilot->agent()->running_units(), 1u);
+
+  ASSERT_TRUE(units.wait_units({next}).is_ok());
+  EXPECT_EQ(next->state(), pilot::UnitState::kDone);
+  EXPECT_NEAR(next->execution_time(), 1000.0, 1e-9);
+  EXPECT_EQ(pilot->agent()->free_cores(), 1);
+  EXPECT_EQ(pilot->agent()->running_units(), 0u);
+}
+
 TEST_F(CancelUnitTest, KillReplacePattern) {
   // The paper's kill/replace: cancel a straggler and resubmit its work.
   auto pilot = make_active_pilot(2);

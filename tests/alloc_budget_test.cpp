@@ -1,13 +1,15 @@
 // Allocation budget of the per-unit submit -> settle path.
 //
-// Every global operator new is counted while a 250-pipeline x 4-stage
-// EnsembleOfPipelines (the benchmark's `pipelines` session shape) runs
-// through Session::run on the simulated backend, and the count per unit
-// is gated. A unit's trip through common, sim, pilot, kernels and core
-// is where the toolkit's per-task overhead lives; a change that adds a
-// heap copy to it shows up here as a count long before it shows up in a
-// timing. The run is single-threaded and seeded, so the count repeats
-// exactly.
+// Every global operator new is counted while a pattern runs through
+// Session::run on the simulated backend, and the count per unit is
+// gated: a 250-pipeline x 4-stage EnsembleOfPipelines (the benchmark's
+// `pipelines` session shape, no backlog), and a SimulationAnalysisLoop
+// whose simulation stage is wider than its cores (a backlog, so the
+// agent's WaitingIndex and backfill scheduler hold units). A unit's
+// trip through common, sim, pilot, kernels and core is where the
+// toolkit's per-task overhead lives; a change that adds a heap copy to
+// it shows up here as a count long before it shows up in a timing. The
+// runs are single-threaded and seeded, so the counts repeat exactly.
 //
 // This is its own executable because it replaces the global
 // operator new.
@@ -48,14 +50,26 @@ namespace {
 
 constexpr Count kPipelines = 250;
 constexpr Count kStages = 4;
-constexpr double kUnits = static_cast<double>(kPipelines * kStages);
 
-/// Heap allocations per unit of the whole Session::run (compile, start,
-/// every engine step, finish): 28.49 when this budget was set (gcc 12,
-/// libstdc++, RelWithDebInfo), plus 10%. The same run made 43.75
-/// before the submit -> settle path stopped round-tripping numbers
-/// through text and copying callbacks on every transition.
-constexpr double kAllocationsPerUnitBudget = 28.49 * 1.10;
+constexpr Count kIterations = 3;
+constexpr Count kSimulations = 300;
+constexpr Count kAnalyses = 30;
+constexpr Count kSalCores = 64;
+
+/// Heap allocations per unit of the whole EoP Session::run (compile,
+/// start, every engine step, finish): 16.54 when this budget was set
+/// (gcc 12, libstdc++, RelWithDebInfo), plus 10%. The same run made
+/// 24.74 while the runtime found in-flight units through hash maps
+/// (one node per unit in the agent's launch map, its event map and the
+/// unit manager's, and a bucket built and freed per unit in the
+/// waiting index), and 43.75 before the submit -> settle path stopped
+/// round-tripping numbers through text and copying callbacks on every
+/// transition.
+constexpr double kAllocationsPerUnitBudget = 16.54 * 1.10;
+
+/// The same for the backlogged SAL run: 9.94 when this budget was set,
+/// plus 10%.
+constexpr double kBackloggedAllocationsPerUnitBudget = 9.94 * 1.10;
 
 sim::MachineProfile budget_machine() {
   sim::MachineProfile p;
@@ -73,47 +87,73 @@ sim::MachineProfile budget_machine() {
   return p;
 }
 
-std::unique_ptr<ExecutionPattern> pipelines_pattern() {
-  auto pattern = std::make_unique<EnsembleOfPipelines>(kPipelines, kStages);
-  for (Count stage = 1; stage <= kStages; ++stage) {
-    pattern->set_stage(stage, [](const StageContext& context) {
-      Xoshiro256 rng(static_cast<std::uint64_t>(
-          context.stage * 100003 + context.instance));
-      TaskSpec spec;
-      spec.kernel = "misc.sleep";
-      spec.args.set("duration", 60.0 * (0.5 + rng.uniform()));
-      spec.cores = 1;
-      return spec;
-    });
-  }
-  return pattern;
+/// A 1-core misc.sleep task of 30-90 s, seeded by its place.
+TaskSpec sleep_task(Count stage, Count instance) {
+  Xoshiro256 rng(static_cast<std::uint64_t>(stage * 100003 + instance));
+  TaskSpec spec;
+  spec.kernel = "misc.sleep";
+  spec.args.set("duration", 60.0 * (0.5 + rng.uniform()));
+  spec.cores = 1;
+  return spec;
 }
 
-TEST(AllocBudget, EopUnitsStayWithinTheirAllocationBudget) {
+/// Runs `pattern` to success in a fresh session of `cores` cores and
+/// returns the heap allocations per unit of its Session::run.
+void measure(ExecutionPattern& pattern, Count cores, Count units,
+             double& per_unit) {
   reset_uid_counters_for_testing();
   auto registry = kernels::KernelRegistry::with_builtin_kernels();
   pilot::SimBackend backend(budget_machine());
   Runtime runtime(backend, registry);
   ResourceOptions options;
-  options.cores = kPipelines;
+  options.cores = cores;
   options.runtime = 1.0e6;
   auto session = runtime.create_session({"budget", options});
   ASSERT_TRUE(session.ok()) << session.status().to_string();
   ASSERT_TRUE(session.value()->allocate().is_ok());
-  auto pattern = pipelines_pattern();
 
   const std::uint64_t before = g_allocations.load();
-  auto report = session.value()->run(*pattern);
+  auto report = session.value()->run(pattern);
   const std::uint64_t after = g_allocations.load();
 
   ASSERT_TRUE(report.ok()) << report.status().to_string();
   ASSERT_TRUE(report.value().outcome.is_ok())
       << report.value().outcome.to_string();
-  ASSERT_EQ(report.value().units.size(), kPipelines * kStages);
-  const double per_unit = static_cast<double>(after - before) / kUnits;
+  ASSERT_EQ(report.value().units.size(), static_cast<std::size_t>(units));
+  per_unit =
+      static_cast<double>(after - before) / static_cast<double>(units);
+}
+
+TEST(AllocBudget, EopUnitsStayWithinTheirAllocationBudget) {
+  EnsembleOfPipelines pattern(kPipelines, kStages);
+  for (Count stage = 1; stage <= kStages; ++stage) {
+    pattern.set_stage(stage, [](const StageContext& context) {
+      return sleep_task(context.stage, context.instance);
+    });
+  }
+  double per_unit = 0.0;
+  ASSERT_NO_FATAL_FAILURE(
+      measure(pattern, kPipelines, kPipelines * kStages, per_unit));
   std::printf("allocations per unit: %.2f (budget %.2f)\n", per_unit,
               kAllocationsPerUnitBudget);
   EXPECT_LE(per_unit, kAllocationsPerUnitBudget);
+}
+
+TEST(AllocBudget, BackloggedSalUnitsStayWithinTheirAllocationBudget) {
+  SimulationAnalysisLoop pattern(kIterations, kSimulations, kAnalyses);
+  pattern.set_simulation([](const StageContext& context) {
+    return sleep_task(2 * context.iteration, context.instance);
+  });
+  pattern.set_analysis([](const StageContext& context) {
+    return sleep_task(2 * context.iteration + 1, context.instance);
+  });
+  double per_unit = 0.0;
+  ASSERT_NO_FATAL_FAILURE(
+      measure(pattern, kSalCores, kIterations * (kSimulations + kAnalyses),
+              per_unit));
+  std::printf("backlogged allocations per unit: %.2f (budget %.2f)\n",
+              per_unit, kBackloggedAllocationsPerUnitBudget);
+  EXPECT_LE(per_unit, kBackloggedAllocationsPerUnitBudget);
 }
 
 }  // namespace

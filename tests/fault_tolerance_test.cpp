@@ -143,6 +143,54 @@ TEST(FaultTolerance, NodeFailureKillsUnitsAndRetryCompletesTheRun) {
   }
 }
 
+TEST(FaultTolerance, NodeFailureAfterSlotReuseKillsTheNewestLaunch) {
+  // Two nodes of 8 cores run A and B; A is cancelled and C launches
+  // into the slot A held. A node failure takes the newest launch, which
+  // is C, whatever slot it sits in.
+  auto machine = sim::localhost_profile();
+  machine.fault.seed = 42;
+  machine.fault.node_mtbf = 2000.0;
+  machine.fault.max_node_failures = 1;
+  SimBackend backend(machine);
+  auto pilot = make_active_pilot(backend, 16);
+  UnitManager manager(backend);
+  manager.add_pilot(pilot);
+
+  auto first = manager.submit_units(
+      {simple_unit(100000.0, 8), simple_unit(100000.0, 8)});
+  ASSERT_TRUE(first.ok());
+  const ComputeUnitPtr a = first.value()[0];
+  const ComputeUnitPtr b = first.value()[1];
+  ASSERT_TRUE(backend
+                  .drive_until([&] {
+                    return a->state() == UnitState::kExecuting &&
+                           b->state() == UnitState::kExecuting;
+                  })
+                  .is_ok());
+  ASSERT_TRUE(manager.cancel_unit(a).is_ok());
+  auto second = manager.submit_units({simple_unit(100000.0, 8)});
+  ASSERT_TRUE(second.ok());
+  const ComputeUnitPtr c = second.value()[0];
+  ASSERT_TRUE(backend
+                  .drive_until([&] {
+                    return c->state() == UnitState::kExecuting;
+                  })
+                  .is_ok());
+  ASSERT_EQ(backend.faults()->node_failures(), 0);
+
+  ASSERT_TRUE(backend
+                  .drive_until([&] {
+                    return backend.faults()->node_failures() == 1;
+                  })
+                  .is_ok());
+  EXPECT_EQ(c->state(), UnitState::kFailed);
+  EXPECT_EQ(c->final_status().code(), Errc::kExecutionFailed);
+  EXPECT_EQ(b->state(), UnitState::kExecuting);
+  EXPECT_EQ(pilot->agent()->total_cores(), 8);
+  EXPECT_EQ(pilot->agent()->free_cores(), 0);
+  EXPECT_EQ(pilot->agent()->running_units(), 1u);
+}
+
 // ------------------------------------- scenario: transient launch failure
 
 TEST(FaultTolerance, TransientLaunchFailureConsumesRetryBudget) {
@@ -253,6 +301,39 @@ TEST(FaultTolerance, RetryWaitsForTheBackoffDelay) {
   // after the 50 s backoff window.
   EXPECT_GE(unit->exec_started_at(), 50.0);
   EXPECT_EQ(manager.total_retries(), 1u);
+}
+
+TEST(FaultTolerance, OversizedUnitWithBackoffSettlesFailedAfterItsRetries) {
+  // No pilot can hold the unit: every routing attempt fails it, each
+  // retry waits out its backoff, and the spent budget settles it failed
+  // with its observers told exactly once.
+  SimBackend backend(sim::localhost_profile());
+  auto pilot = make_active_pilot(backend, 8);
+  UnitManager manager(backend);
+  manager.add_pilot(pilot);
+  std::size_t settled = 0;
+  manager.add_settled_observer([&](const ComputeUnitPtr&, UnitState state) {
+    EXPECT_EQ(state, UnitState::kFailed);
+    ++settled;
+  });
+
+  auto description = simple_unit(5.0, 16);
+  description.retry.max_retries = 2;
+  description.retry.backoff_base = 10.0;
+  const TimePoint submitted_at = backend.engine().now();
+  auto units = manager.submit_units({std::move(description)});
+  ASSERT_TRUE(units.ok());
+  ASSERT_TRUE(manager.wait_units(units.value()).is_ok());
+
+  const auto& unit = units.value()[0];
+  EXPECT_EQ(unit->state(), UnitState::kFailed);
+  EXPECT_EQ(unit->final_status().code(), Errc::kResourceExhausted);
+  EXPECT_EQ(unit->retries(), 2);
+  EXPECT_EQ(manager.total_retries(), 2u);
+  EXPECT_EQ(manager.inflight_units(), 0u);
+  EXPECT_EQ(settled, 1u);
+  // The final failure came after both backoffs: 10 s, then 20 s.
+  EXPECT_NEAR(unit->finished_at() - submitted_at, 30.0, 1e-9);
 }
 
 // ----------------------------------- scenario: pilot walltime expiry
