@@ -112,12 +112,12 @@ void SimAgent::cancel_waiting() {
 std::vector<ComputeUnitPtr> SimAgent::evict_inflight() {
   // Waiting units are already kPendingExecution.
   std::vector<ComputeUnitPtr> evicted = waiting_.drain();
-  // In-flight units rewind, in launch order; the epoch bump voids their
-  // pending events.
+  // In-flight units rewind, in launch order; vacating their slots
+  // cancels their pending events.
   std::vector<ComputeUnitPtr> inflight;
   for (const std::size_t slot : slots_by_launch()) {
     free_ += slots_[slot].unit->description().cores;
-    inflight.push_back(vacate(slot));
+    inflight.push_back(vacate(slot, /*killed=*/true));
   }
   ENTK_CHECK(free_ <= capacity_, "core accounting out of sync");
   evicted.reserve(evicted.size() + inflight.size());
@@ -164,11 +164,11 @@ Status SimAgent::cancel_unit(const ComputeUnitPtr& unit) {
   if (waiting_.erase(unit.get())) {
     return unit->advance_state(UnitState::kCanceled);
   }
-  // Occupying cores: void its future events (their callbacks check the
-  // unit state and epoch) and reclaim the cores now.
+  // Occupying cores: cancel its future events and reclaim the cores
+  // now.
   const std::size_t slot = slot_of(*unit);
   if (slot != kNoSlot) {
-    vacate(slot);
+    vacate(slot, /*killed=*/true);
     ENTK_RETURN_IF_ERROR(unit->advance_state(UnitState::kCanceled));
     free_ += unit->description().cores;
     ENTK_CHECK(free_ <= capacity_, "core accounting out of sync");
@@ -202,7 +202,19 @@ std::size_t SimAgent::occupy(ComputeUnitPtr unit, std::uint64_t seq) {
   return slot;
 }
 
-ComputeUnitPtr SimAgent::vacate(std::size_t slot) {
+ComputeUnitPtr SimAgent::vacate(std::size_t slot, bool killed) {
+  // Whatever of the unit's lifecycle is still scheduled would only find
+  // it gone: cancel it now, or each closure keeps the unit in the
+  // engine until its original firing time. Fired ids are refused. A
+  // release at the end of a run cancels only the execution timeout:
+  // the other events have fired, or fire next as no-ops.
+  TrackedEvents& tracked = slots_[slot].events;
+  for (std::uint8_t i = 0; i < tracked.count; ++i) {
+    if (killed || tracked.entries[i].kind == UnitEventKind::kTimeout) {
+      (void)engine_.cancel(tracked.entries[i].id);
+    }
+  }
+  tracked.count = 0;
   ComputeUnitPtr unit = std::move(slots_[slot].unit);
   unit->set_agent_slot(kNoSlot);
   free_slots_.push_back(slot);
@@ -227,7 +239,7 @@ void SimAgent::release(std::size_t slot, const ComputeUnit* unit) {
   // another unit by now, or went with the slot table.
   if (slot >= slots_.size() || slots_[slot].unit.get() != unit) return;
   free_ += unit->description().cores;
-  vacate(slot);
+  vacate(slot, /*killed=*/false);
   ENTK_CHECK(free_ <= capacity_, "core accounting out of sync");
   schedule_loop();
 }
@@ -250,7 +262,7 @@ void SimAgent::handle_node_failure() {
   std::vector<ComputeUnitPtr> victims;
   std::vector<std::size_t> by_launch = slots_by_launch();
   while (deficit > 0 && !by_launch.empty()) {
-    ComputeUnitPtr victim = vacate(by_launch.back());
+    ComputeUnitPtr victim = vacate(by_launch.back(), /*killed=*/true);
     by_launch.pop_back();
     const Count cores = victim->description().cores;
     if (cores >= deficit) {

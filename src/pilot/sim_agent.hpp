@@ -137,8 +137,10 @@ class SimAgent final : public Agent {
   std::size_t slot_of(const ComputeUnit& unit) const;
   /// Puts a launched unit in a free slot; returns the slot.
   std::size_t occupy(ComputeUnitPtr unit, std::uint64_t seq);
-  /// Frees a slot and returns the unit it held.
-  ComputeUnitPtr vacate(std::size_t slot);
+  /// Frees a slot and returns the unit it held. Cancels the engine
+  /// events still pending for a `killed` unit, and the execution
+  /// timeout of one released at the end of its run.
+  ComputeUnitPtr vacate(std::size_t slot, bool killed);
   /// Occupied slots in launch order (checkpoint capture, eviction and
   /// node failures: the rare paths that need that order).
   std::vector<std::size_t> slots_by_launch() const;
@@ -161,7 +163,8 @@ class SimAgent final : public Agent {
   /// capacity: at most 3 are pending at once (exec_start + complete +
   /// timeout), but stale (already-fired) records linger until
   /// compacted, so keep one spare. Stale entries are filtered by
-  /// generation at capture time; the record is cleared with its slot.
+  /// generation at capture time; vacating the slot cancels the pending
+  /// ones it names (see vacate()) and clears the record.
   struct TrackedEvents {
     struct Entry {
       sim::EventId id = sim::kInvalidEvent;

@@ -250,8 +250,9 @@ class UnitManager {
   /// Every unit this manager created or rebuilt, in creation order:
   /// entries_[unit->manager_index()].
   std::vector<Entry> entries_ ENTK_GUARDED_BY(mutex_);
-  /// Entries with settled == false: inflight_units() is polled on every
-  /// entk-serve drive iteration, so it must not scan entries_.
+  /// Entries with settled == false: entk-serve's drive loop reads
+  /// inflight_units() after each settlement and flush, so it must not
+  /// scan entries_.
   std::size_t unsettled_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t total_units_ ENTK_GUARDED_BY(mutex_) = 0;
   std::size_t total_retries_ ENTK_GUARDED_BY(mutex_) = 0;

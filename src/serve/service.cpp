@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <utility>
 
 #include "core/graph_executor.hpp"
@@ -18,6 +19,24 @@ namespace {
 constexpr double kDeficitCapRounds = 4.0;
 
 obs::Metrics& metrics() { return obs::Metrics::instance(); }
+
+/// Frees a terminal workload's spec: STATUS and RESULTS never read it,
+/// so a served workload keeps none of its sections.
+void release_spec(core::WorkloadSpec& spec) {
+  core::WorkloadSpec empty;
+  std::swap(spec, empty);
+}
+
+/// The credit one DRR round grants a tenant with `config`.
+double round_credit(const TenantConfig& config, std::size_t quantum) {
+  return config.weight * static_cast<double>(quantum);
+}
+
+/// `deficit` after a round grants `credit`: banked up to
+/// kDeficitCapRounds rounds' worth.
+double bank_credit(double deficit, double credit) {
+  return std::min(deficit + credit, credit * kDeficitCapRounds);
+}
 
 }  // namespace
 
@@ -82,6 +101,7 @@ Service::Tenant& Service::tenant_locked(std::string_view name) {
     Tenant tenant;
     tenant.config = config_.default_tenant;
     it = tenants_.emplace(std::string(name), tenant).first;
+    it->second.name = it->first;
   }
   return it->second;
 }
@@ -231,24 +251,27 @@ Status Service::cancel(std::uint64_t id) {
                           " already settled (" +
                           workload_state_name(workload.state) + ")");
   }
-  if (workload.state == WorkloadState::kQueued) {
+  const auto queued =
+      std::find_if(queue_.begin(), queue_.end(),
+                   [id](const std::shared_ptr<Workload>& entry) {
+                     return entry->id == id;
+                   });
+  if (queued != queue_.end()) {
     // Never admitted: settle synchronously, no drive-thread state.
-    for (auto queued = queue_.begin(); queued != queue_.end(); ++queued) {
-      if ((*queued)->id == id) {
-        queue_.erase(queued);
-        break;
-      }
-    }
+    queue_.erase(queued);
     workload.state = WorkloadState::kCancelled;
     workload.outcome =
         make_error(Errc::kCancelled, "cancelled while queued");
+    release_spec(workload.spec);
     TenantStats& owner = tenant_locked(workload.tenant).tally;
     if (owner.queued > 0) --owner.queued;
     ++owner.cancelled;
     metrics().counter(obs::WellKnownCounter::kServeCancelled).add();
     return Status::ok();
   }
-  // Running: the drive thread owns the session — hand it the abort.
+  // Running, or still QUEUED but already popped and starting on the
+  // drive thread, which reads its spec without a lock: the drive
+  // thread owns it — hand it the abort.
   pending_cancels_.push_back(id);
   dirty_ = true;
   mailbox_cv_.notify_all();
@@ -301,8 +324,7 @@ void Service::drain() {
 }
 
 bool Service::mailbox_dirty() const {
-  MutexLock lock(mailbox_mutex_);
-  return dirty_ || shutdown_;
+  return dirty_.load() || shutdown_.load();
 }
 
 void Service::update_gauges() {
@@ -362,22 +384,21 @@ void Service::run() {
                     nullptr);
   }
   for (const auto& workload : active_) {
-    if (workload->session != nullptr) {
-      (void)workload->session->cancel_run();
-    }
+    (void)workload->session->cancel_run();
+    note_news(*workload);
   }
   if (!active_.empty()) {
     obs::ScopedTraceClock trace_clock(backend_->clock());
     const auto settled = [this] {
       advance_and_flush();
-      return std::all_of(active_.begin(), active_.end(),
-                         [](const std::shared_ptr<Workload>& workload) {
-                           return workload->session == nullptr ||
-                                  workload->session->run_finished();
-                         });
+      return finished_ == active_.size();
     };
-    if (!settled()) (void)backend_->drive_until(settled);
+    const Status driven =
+        settled() ? Status::ok() : backend_->drive_until(settled);
     reap_finished();
+    // A run that could not settle fails with the drive verdict: no
+    // session, and no settled observer, outlives run().
+    if (!driven.is_ok()) fail_active(driven);
   }
   update_gauges();
   {
@@ -395,8 +416,9 @@ void Service::process_mailbox() {
   }
   for (const std::uint64_t id : cancels) {
     for (const auto& workload : active_) {
-      if (workload->id == id && workload->session != nullptr) {
+      if (workload->id == id) {
         (void)workload->session->cancel_run();
+        note_news(*workload);
         break;
       }
     }
@@ -481,6 +503,14 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
   workload->executor = workload->session->run_executor();
   committed_cores_ += workload->spec.cores;
   active_.push_back(workload);
+  // Units settle only on this thread (inside engine steps, flushes and
+  // session teardown), so the observer touches drive-thread state
+  // alone and takes no service lock.
+  Workload* raw = workload.get();
+  workload->session->unit_manager()->add_settled_observer(
+      [this, raw](const pilot::ComputeUnitPtr&, pilot::UnitState) {
+        note_news(*raw);
+      });
 
   double queue_wait = 0.0;
   {
@@ -488,12 +518,23 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
     workload->state = WorkloadState::kRunning;
     workload->start_wall = wall_.now();
     queue_wait = workload->start_wall - workload->submit_wall;
-    TenantStats& owner = tenant_locked(workload->tenant).tally;
+    workload->owner = &tenant_locked(workload->tenant);
+    TenantStats& owner = workload->owner->tally;
     if (owner.queued > 0) --owner.queued;
     ++owner.active_sessions;
     owner.peak_active_sessions =
         std::max(owner.peak_active_sessions, owner.active_sessions);
   }
+  Tenant& owner = *workload->owner;
+  if (owner.running.empty()) {
+    auto at = running_tenants_.begin();
+    while (at != running_tenants_.end() && (*at)->name < owner.name) ++at;
+    running_tenants_.insert(at, &owner);
+  }
+  owner.running.push_back(raw);
+  // Its first advance materializes the initial frontier; a run the
+  // pattern refused is finished already and must wake the predicate.
+  note_news(*workload);
   metrics()
       .histogram(obs::WellKnownHistogram::kServeQueueWaitSeconds)
       .observe(queue_wait);
@@ -504,84 +545,120 @@ void Service::drive_active() {
   obs::ScopedTraceClock trace_clock(backend_->clock());
   const auto wake = [this] {
     advance_and_flush();
-    if (mailbox_dirty()) return true;
-    return std::any_of(active_.begin(), active_.end(),
-                       [](const std::shared_ptr<Workload>& workload) {
-                         return workload->session != nullptr &&
-                                workload->session->run_finished();
-                       });
+    return finished_ > 0 || mailbox_dirty();
   };
   if (wake()) return;
   const Status driven = backend_->drive_until(wake);
-  if (driven.is_ok()) return;
   // The shared world refused to advance (engine deadlock / timeout):
-  // no session can settle, so fail every in-flight workload with the
-  // drive verdict.
+  // no session can settle.
+  if (!driven.is_ok()) fail_active(driven);
+}
+
+void Service::fail_active(const Status& verdict) {
   for (const auto& workload : active_) {
     workload->executor = nullptr;
-    if (workload->session != nullptr && workload->session->run_active()) {
-      (void)workload->session->finish_run(driven);
+    if (workload->session->run_active()) {
+      (void)workload->session->finish_run(verdict);
     }
-    finish_workload(workload, WorkloadState::kFailed, driven, nullptr);
+    finish_workload(workload, WorkloadState::kFailed, verdict, nullptr);
   }
   active_.clear();
 }
 
-void Service::advance_and_flush() {
-  std::vector<core::GraphExecutor*> executors;
-  executors.reserve(active_.size());
-  for (const auto& workload : active_) {
-    if (workload->executor != nullptr) {
-      executors.push_back(workload->executor);
+void Service::note_news(Workload& workload) {
+  if (workload.news || workload.session == nullptr) return;
+  workload.news = true;
+  news_.push_back(&workload);
+}
+
+void Service::refresh_inflight(Workload& workload) {
+  const std::size_t inflight =
+      workload.session->unit_manager()->inflight_units();
+  workload.owner->inflight =
+      workload.owner->inflight - workload.inflight + inflight;
+  inflight_total_ = inflight_total_ - workload.inflight + inflight;
+  workload.inflight = inflight;
+}
+
+void Service::repeat_stalled_rounds() {
+  if (stall_dispatch_round_ == 0) return;
+  drr_cursor_ += stalled_rounds_;
+  if (stalled_rounds_ > 0) {
+    MutexLock registry(registry_mutex_);
+    for (Tenant* tenant : order_) {
+      const double credit = round_credit(tenant->config, config_.drr_quantum);
+      // Banked credit is capped, so a few repeats reach a fixed point.
+      for (std::size_t round = 0; round < stalled_rounds_; ++round) {
+        const double next = bank_credit(tenant->deficit, credit);
+        if (next == tenant->deficit) break;
+        tenant->deficit = next;
+      }
     }
   }
-  if (executors.empty()) return;
-  for (;;) {
-    // Phase 1: advance every graph locally (no submissions yet). The
-    // predicate runs between engine steps, so no settlement is
-    // mid-flight.
-    for (core::GraphExecutor* executor : executors) {
-      executor->advance_local();
-    }
+  stalled_rounds_ = 0;
+  stall_dispatch_round_ = 0;
+}
 
-    // Phase 2: per-tenant backlog (admission order within a tenant)
-    // and in-flight totals against the global dispatch budget.
-    std::map<std::string, std::vector<Workload*>> backlog;
-    std::map<std::string, std::size_t> inflight_by_tenant;
-    std::size_t inflight_total = 0;
-    for (const auto& workload : active_) {
-      if (workload->session != nullptr) {
-        const std::size_t inflight =
-            workload->session->unit_manager()->inflight_units();
-        inflight_by_tenant[workload->tenant] += inflight;
-        inflight_total += inflight;
-      }
-      if (workload->executor != nullptr &&
-          workload->executor->pending_submits() > 0) {
-        backlog[workload->tenant].push_back(workload.get());
+void Service::advance_and_flush() {
+  if (news_.empty()) {
+    // Nothing a round reads changed since the last one, so its outcome
+    // stands; a stalled round is repeated, counted until it would
+    // dispatch.
+    if (stall_dispatch_round_ == 0) return;
+    if (stalled_rounds_ + 1 < stall_dispatch_round_) {
+      ++stalled_rounds_;
+      return;
+    }
+  }
+  repeat_stalled_rounds();
+  const auto backlogged = [](const Workload* workload) {
+    return workload->executor != nullptr &&
+           workload->executor->pending_submits() > 0;
+  };
+  for (;;) {
+    // Phase 1: advance the graphs with news locally (no submissions
+    // yet). The predicate runs between engine steps, so no settlement
+    // is mid-flight.
+    for (std::size_t i = 0; i < news_.size(); ++i) {
+      Workload& workload = *news_[i];
+      workload.news = false;
+      if (workload.session == nullptr || workload.finished) continue;
+      if (workload.executor != nullptr) workload.executor->advance_local();
+      refresh_inflight(workload);
+      if (workload.session->run_finished()) {
+        workload.finished = true;
+        ++finished_;
       }
     }
-    if (backlog.empty()) return;
-    std::size_t global_headroom = inflight_budget_ > inflight_total
-                                      ? inflight_budget_ - inflight_total
+    news_.clear();
+
+    // Phase 2: the backlogged tenants (name order; admission order
+    // within each) against the global dispatch budget.
+    order_.clear();
+    for (Tenant* tenant : running_tenants_) {
+      if (std::any_of(tenant->running.begin(), tenant->running.end(),
+                      backlogged)) {
+        order_.push_back(tenant);
+      }
+    }
+    if (order_.empty()) return;
+    std::size_t global_headroom = inflight_budget_ > inflight_total_
+                                      ? inflight_budget_ - inflight_total_
                                       : 0;
     if (global_headroom == 0) return;
     // Contended round: two or more tenants want the budget at once —
     // exactly when the dispatch order is a policy decision. The
     // fairness-dispersion bench metric counts only these rounds.
-    const bool contended = backlog.size() >= 2;
+    const bool contended = order_.size() >= 2;
 
     // Service order: rotate which tenant gets first crack at the
     // global budget. Deficits even out credit across rounds; the
     // rotation evens out the tie-break when the budget runs dry
     // mid-round.
-    std::vector<std::string> order;
-    order.reserve(backlog.size());
-    for (const auto& [name, ready] : backlog) order.push_back(name);
-    std::rotate(order.begin(),
-                order.begin() +
-                    static_cast<std::ptrdiff_t>(drr_cursor_ % order.size()),
-                order.end());
+    std::rotate(order_.begin(),
+                order_.begin() +
+                    static_cast<std::ptrdiff_t>(drr_cursor_ % order_.size()),
+                order_.end());
     ++drr_cursor_;
 
     // Phase 3: weighted deficit round-robin over the backlogged
@@ -590,35 +667,30 @@ void Service::advance_and_flush() {
     std::size_t flushed_total = 0;
     {
       MutexLock registry(registry_mutex_);
-      for (const std::string& name : order) {
+      for (Tenant* owner : order_) {
         if (global_headroom == 0) break;
-        const std::vector<Workload*>& ready = backlog[name];
-        Tenant& owner = tenant_locked(name);
-        const double credit = owner.config.weight *
-                              static_cast<double>(config_.drr_quantum);
-        owner.deficit =
-            std::min(owner.deficit + credit, credit * kDeficitCapRounds);
-        const std::size_t inflight = inflight_by_tenant[name];
+        owner->deficit = bank_credit(
+            owner->deficit, round_credit(owner->config, config_.drr_quantum));
         const std::size_t headroom =
-            owner.config.max_inflight_units > inflight
-                ? owner.config.max_inflight_units - inflight
+            owner->config.max_inflight_units > owner->inflight
+                ? owner->config.max_inflight_units - owner->inflight
                 : 0;
         std::size_t allowance = std::min(
-            {static_cast<std::size_t>(owner.deficit), headroom,
+            {static_cast<std::size_t>(owner->deficit), headroom,
              global_headroom});
-        for (Workload* workload : ready) {
+        for (Workload* workload : owner->running) {
           if (allowance == 0) break;
+          if (workload->executor == nullptr) continue;
           const std::size_t flushed =
               workload->executor->flush_submit_bounded(allowance);
           if (flushed == 0) continue;
           allowance -= flushed;
           global_headroom -= flushed;
-          inflight_by_tenant[name] += flushed;
-          owner.deficit -= static_cast<double>(flushed);
+          owner->deficit -= static_cast<double>(flushed);
           flushed_total += flushed;
           workload->dispatched_units += flushed;
-          owner.tally.dispatched_units += flushed;
-          if (contended) owner.tally.contended_dispatched_units += flushed;
+          owner->tally.dispatched_units += flushed;
+          if (contended) owner->tally.contended_dispatched_units += flushed;
           if (workload->first_dispatch_wall < 0.0) {
             workload->first_dispatch_wall = wall_.now();
             metrics()
@@ -630,27 +702,52 @@ void Service::advance_and_flush() {
           metrics()
               .counter(obs::WellKnownCounter::kServeDispatchedUnits)
               .add(flushed);
+          // A unit can fail inside submit. And advance_local() applies
+          // no settlement while a batch is pending, so the next round
+          // must advance this graph again.
+          refresh_inflight(*workload);
+          note_news(*workload);
         }
         // A drained tenant keeps no credit: deficits meter contention,
         // not idleness.
-        const bool drained = std::all_of(
-            ready.begin(), ready.end(), [](const Workload* workload) {
-              return workload->executor->pending_submits() == 0;
-            });
-        if (drained) owner.deficit = 0.0;
+        if (std::none_of(owner->running.begin(), owner->running.end(),
+                         backlogged)) {
+          owner->deficit = 0.0;
+        }
       }
+      // Nothing moved: every backlogged tenant is at its in-flight cap
+      // or short of a whole unit of credit. Let the engine settle units
+      // to open headroom.
+      if (flushed_total == 0) stall();
     }
-    // Nothing moved: every backlogged tenant is at its in-flight cap
-    // (or out of credit). Let the engine settle units to open headroom.
     if (flushed_total == 0) return;
+  }
+}
+
+void Service::stall() {
+  // A tenant with headroom dispatches in the first repeat that banks it
+  // a whole unit of credit.
+  stall_dispatch_round_ = std::numeric_limits<std::size_t>::max();
+  for (const Tenant* owner : order_) {
+    if (owner->config.max_inflight_units <= owner->inflight) continue;
+    const double credit = round_credit(owner->config, config_.drr_quantum);
+    double deficit = owner->deficit;
+    for (std::size_t round = 1; round < stall_dispatch_round_; ++round) {
+      const double next = bank_credit(deficit, credit);
+      if (next >= 1.0) {
+        stall_dispatch_round_ = round;
+        break;
+      }
+      if (next == deficit) break;  // capped short of a unit: never
+      deficit = next;
+    }
   }
 }
 
 void Service::reap_finished() {
   for (auto it = active_.begin(); it != active_.end();) {
     const std::shared_ptr<Workload>& workload = *it;
-    if (workload->session == nullptr ||
-        !workload->session->run_finished()) {
+    if (!workload->finished) {
       ++it;
       continue;
     }
@@ -677,9 +774,12 @@ void Service::finish_workload(const std::shared_ptr<Workload>& workload,
                               WorkloadState state, Status outcome,
                               const core::RunReport* report) {
   workload->executor = nullptr;
-  if (workload->session != nullptr) {
-    (void)workload->session->deallocate();
-    workload->session.reset();
+  {
+    // Taken off the workload first: units that settle while the session
+    // tears down must not put a workload that is leaving on news_.
+    const std::shared_ptr<core::Session> session =
+        std::move(workload->session);
+    if (session != nullptr) (void)session->deallocate();
   }
   workload->pattern.reset();
 
@@ -709,9 +809,18 @@ void Service::finish_workload(const std::shared_ptr<Workload>& workload,
   }
   if (previous == WorkloadState::kRunning) {
     committed_cores_ -= workload->spec.cores;
+    Tenant& owner = *workload->owner;
+    std::erase(owner.running, workload.get());
+    if (owner.running.empty()) std::erase(running_tenants_, &owner);
+    owner.inflight -= workload->inflight;
+    inflight_total_ -= workload->inflight;
+    workload->inflight = 0;
+    workload->owner = nullptr;
+    if (std::exchange(workload->finished, false)) --finished_;
     MutexLock lock(mailbox_mutex_);
     if (running_count_ > 0) --running_count_;
   }
+  release_spec(workload->spec);
   switch (state) {
     case WorkloadState::kDone:
       metrics().counter(obs::WellKnownCounter::kServeCompleted).add();

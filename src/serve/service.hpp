@@ -18,12 +18,16 @@
 //                       at dispatch respectively.
 //   weighted fair-share deficit round-robin over frontier dispatch:
 //                       every running session's graph executor holds
-//                       dispatch, and the drive predicate advances
-//                       every graph in turn on the drive thread,
-//                       then flushes ready nodes tenant-by-tenant in
-//                       weight-proportional quanta, bounded by a
-//                       global in-flight budget (the scarce resource
-//                       the arbitration divides).
+//                       dispatch. A session has news when it starts,
+//                       when one of its units settles, when it is
+//                       cancelled and after each flush; between
+//                       engine steps the drive predicate advances only
+//                       the sessions with news, then flushes ready
+//                       nodes tenant-by-tenant in weight-proportional
+//                       quanta, bounded by a global in-flight budget
+//                       (the scarce resource the arbitration divides).
+//                       A step in which no session has news costs no
+//                       lock.
 //
 // Threading: listener/client threads call submit/status/cancel/
 // results/stats/handle_line; ONE drive thread calls run() (or the
@@ -33,6 +37,7 @@
 // kServeRegistry < everything the runtime takes).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -145,8 +150,9 @@ class Service {
   Result<WorkloadStatus> status(std::uint64_t id) const
       ENTK_EXCLUDES(registry_mutex_);
 
-  /// Queued workloads cancel synchronously; running ones are handed to
-  /// the drive thread (state stays RUNNING until the abort settles).
+  /// Queued workloads cancel synchronously; running ones, and one the
+  /// drive thread has taken off the queue to start, are handed to the
+  /// drive thread (CANCELLED once the abort settles).
   /// kFailedPrecondition when already terminal.
   Status cancel(std::uint64_t id)
       ENTK_EXCLUDES(mailbox_mutex_, registry_mutex_);
@@ -189,12 +195,16 @@ class Service {
   const ServiceConfig& config() const { return config_; }
 
  private:
+  struct Tenant;
+
   /// One submitted workload, queued → running → terminal.
   struct Workload {
     std::uint64_t id = 0;
     std::string tenant;
     std::string label;
     std::string session_name;
+    /// Emptied once the workload is terminal: STATUS and RESULTS never
+    /// read it.
     core::WorkloadSpec spec;
 
     // Guarded by registry_mutex_ (read by client threads).
@@ -212,15 +222,27 @@ class Service {
     std::shared_ptr<core::Session> session;
     std::unique_ptr<core::ExecutionPattern> pattern;
     core::GraphExecutor* executor = nullptr;
+    /// Set while running.
+    Tenant* owner = nullptr;
+    /// Its session's unsettled units, as read after its last news or
+    /// flush.
+    std::size_t inflight = 0;
+    bool news = false;      ///< On news_.
+    bool finished = false;  ///< Its run finished; not reaped yet.
   };
 
-  /// Tenant policy + tallies; guarded by registry_mutex_ except
-  /// `deficit`, which only the drive thread touches. stats() copies
-  /// `tally` whole (name and weight are filled in there).
+  /// Tenant policy + tallies; config and tally are guarded by
+  /// registry_mutex_, the rest only the drive thread touches. stats()
+  /// copies `tally` whole (name and weight are filled in there).
   struct Tenant {
     TenantConfig config;
     TenantStats tally;
+    std::string_view name;  ///< Its key in tenants_.
     double deficit = 0.0;
+    /// Sum of its running workloads' `inflight`.
+    std::size_t inflight = 0;
+    /// Its running workloads, in admission order.
+    std::vector<Workload*> running;
   };
 
   explicit Service(ServiceConfig config, sim::MachineProfile machine);
@@ -236,16 +258,33 @@ class Service {
       ENTK_EXCLUDES(mailbox_mutex_, registry_mutex_);
   void start_workload(const std::shared_ptr<Workload>& workload);
   void drive_active();
-  /// The fair-share heart: advance every running graph, then flush
-  /// ready nodes per tenant in weighted DRR quanta, bounded by each
-  /// tenant's in-flight-unit headroom.
+  /// The fair-share heart: advance the running graphs with news, then
+  /// flush ready nodes per tenant in weighted DRR quanta, bounded by
+  /// each tenant's in-flight-unit headroom. Returns at once, touching
+  /// no lock, when no session has news and no stalled round is due.
   void advance_and_flush();
+  /// Records that the round just run over order_ dispatched nothing
+  /// (see stalled_rounds_).
+  void stall() ENTK_REQUIRES(registry_mutex_);
+  /// Applies the repeats of a stalled round counted while no session
+  /// had news.
+  void repeat_stalled_rounds() ENTK_EXCLUDES(registry_mutex_);
+  /// Puts a running workload on news_ (once); ignores one whose
+  /// session is gone.
+  void note_news(Workload& workload);
+  /// Re-reads a running workload's in-flight units into its cache and
+  /// its tenant's and the service's sums.
+  void refresh_inflight(Workload& workload);
   void reap_finished();
+  /// Fails every running workload with `verdict` (a drive that could
+  /// not settle them).
+  void fail_active(const Status& verdict);
   void finish_workload(const std::shared_ptr<Workload>& workload,
                        WorkloadState state, Status outcome,
                        const core::RunReport* report);
   void update_gauges() ENTK_EXCLUDES(mailbox_mutex_);
-  bool mailbox_dirty() const ENTK_EXCLUDES(mailbox_mutex_);
+  /// Lock-free: the drive predicate calls it after every engine step.
+  bool mailbox_dirty() const;
 
   ServiceConfig config_;
   Count machine_cores_ = 0;
@@ -263,8 +302,10 @@ class Service {
       ENTK_GUARDED_BY(mailbox_mutex_);
   std::vector<std::uint64_t> pending_cancels_
       ENTK_GUARDED_BY(mailbox_mutex_);
-  bool dirty_ ENTK_GUARDED_BY(mailbox_mutex_) = false;
-  bool shutdown_ ENTK_GUARDED_BY(mailbox_mutex_) = false;
+  /// Written under mailbox_mutex_, so the condition-variable waits see
+  /// every change; mailbox_dirty() reads them without it.
+  std::atomic<bool> dirty_{false};
+  std::atomic<bool> shutdown_{false};
   std::size_t running_count_ ENTK_GUARDED_BY(mailbox_mutex_) = 0;
 
   /// Workload + tenant registry: what client threads read back.
@@ -276,13 +317,36 @@ class Service {
       ENTK_GUARDED_BY(registry_mutex_);
 
   // Drive-thread only.
+  /// Running workloads, in admission order.
   std::vector<std::shared_ptr<Workload>> active_;
+  /// Running workloads with news since the drive predicate last ran:
+  /// a settled unit, a cancel, a flush, or a fresh start.
+  std::vector<Workload*> news_;
+  /// Running workloads whose run finished and awaits reaping; nonzero
+  /// wakes the drive predicate.
+  std::size_t finished_ = 0;
+  /// Tenants with a running workload, in name order.
+  std::vector<Tenant*> running_tenants_;
+  /// The last DRR round's backlogged tenants, in service order.
+  std::vector<Tenant*> order_;
+  /// Sum of the running workloads' `inflight`.
+  std::size_t inflight_total_ = 0;
   Count committed_cores_ = 0;
   std::size_t inflight_budget_ = 0;
   /// Rotates which backlogged tenant gets first crack at the global
   /// budget each DRR round (deficits even out credit; rotation evens
   /// out tie-breaks).
   std::size_t drr_cursor_ = 0;
+  /// A round that flushed nothing while tenants were backlogged under
+  /// the global budget stalls: until a session has news, every later
+  /// predicate call would run the same round, each banking credit and
+  /// turning the cursor. Those calls only count the repeats here; the
+  /// next round that runs applies them first. stall_dispatch_round_ is
+  /// 0 when not stalled, else the repeat at which a tenant with
+  /// headroom reaches a whole unit of credit (SIZE_MAX: never), which
+  /// the predicate runs as a full round.
+  std::size_t stalled_rounds_ = 0;
+  std::size_t stall_dispatch_round_ = 0;
 };
 
 }  // namespace entk::serve

@@ -84,9 +84,9 @@ TEST_F(CancelUnitTest, KillExecutingUnitReclaimsCores) {
 
 TEST_F(CancelUnitTest,
        StaleEventsOfAKilledUnitLeaveItsSlotsNextOccupantAlone) {
-  // A killed unit's completion and stage-out events stay queued; the
-  // agent reuses its slot for the next launch, and those stale events
-  // must neither finish nor release the new occupant.
+  // The agent reuses a killed unit's slot for the next launch, and
+  // nothing left of the killed unit's lifecycle may finish or release
+  // the new occupant.
   auto pilot = make_active_pilot(1);
   pilot::UnitManager units(backend_);
   units.add_pilot(pilot);
@@ -120,6 +120,54 @@ TEST_F(CancelUnitTest,
   EXPECT_NEAR(next->execution_time(), 1000.0, 1e-9);
   EXPECT_EQ(pilot->agent()->free_cores(), 1);
   EXPECT_EQ(pilot->agent()->running_units(), 0u);
+}
+
+TEST_F(CancelUnitTest, KillingAUnitCancelsItsPendingEvents) {
+  // A killed unit's completion and timeout events would only find it
+  // gone. The agent cancels them with its slot, so neither waits in the
+  // engine, holding the unit, until its original firing time.
+  auto pilot = make_active_pilot(1);
+  std::weak_ptr<pilot::ComputeUnit> watched;
+  {
+    pilot::UnitManager units(backend_);
+    units.add_pilot(pilot);
+    pilot::UnitDescription description = sim_unit(1000.0);
+    description.retry.execution_timeout = 5000.0;
+    auto submitted = units.submit_units({description});
+    ASSERT_TRUE(submitted.ok());
+    const pilot::ComputeUnitPtr killed = submitted.value()[0];
+    watched = killed;
+    ASSERT_TRUE(backend_
+                    .drive_until([&] {
+                      return killed->state() == pilot::UnitState::kExecuting;
+                    })
+                    .is_ok());
+    const std::size_t pending = backend_.engine().pending_events();
+    ASSERT_TRUE(units.cancel_unit(killed).is_ok());
+    EXPECT_EQ(backend_.engine().pending_events(), pending - 2);
+  }
+  EXPECT_TRUE(watched.expired());
+}
+
+TEST_F(CancelUnitTest, AFinishedUnitLeavesNoTimeoutEventBehind) {
+  // A unit that finishes well inside its execution timeout has no use
+  // for the timeout's event. Its release cancels it, so the event does
+  // not hold the unit in the engine until the timeout's original time.
+  auto pilot = make_active_pilot(1);
+  std::weak_ptr<pilot::ComputeUnit> watched;
+  {
+    pilot::UnitManager units(backend_);
+    units.add_pilot(pilot);
+    pilot::UnitDescription description = sim_unit(10.0);
+    description.retry.execution_timeout = 5000.0;
+    auto submitted = units.submit_units({description});
+    ASSERT_TRUE(submitted.ok());
+    const pilot::ComputeUnitPtr finished = submitted.value()[0];
+    watched = finished;
+    ASSERT_TRUE(units.wait_units(submitted.value()).is_ok());
+    ASSERT_EQ(finished->state(), pilot::UnitState::kDone);
+  }
+  EXPECT_TRUE(watched.expired());
 }
 
 TEST_F(CancelUnitTest, KillReplacePattern) {

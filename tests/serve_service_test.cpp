@@ -7,6 +7,9 @@
 // takes) is pinned by forked-abort tests under ENTK_LOCK_RANK_CHECK.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -18,6 +21,7 @@
 #include "obs/metrics.hpp"
 #include "serve/json.hpp"
 #include "serve/service.hpp"
+#include "serve_test_util.hpp"
 
 #if defined(ENTK_LOCK_RANK_CHECK)
 #include <csignal>
@@ -318,6 +322,110 @@ TEST(ServeService, WeightedFairShareTracksWeightsUnderContention) {
   EXPECT_EQ(stats.completed, 16u);
 }
 
+/// Queues `mix` on `service`, then runs the drive thread until it
+/// drains; the service's stats.
+ServiceStats drain_queued(Service& service,
+                          const std::vector<mix_test::MixWorkload>& mix) {
+  EXPECT_TRUE(mix_test::submit_mix(service, mix));
+  std::thread driver([&service] { service.run(); });
+  service.drain();
+  ServiceStats stats = service.stats();
+  service.shutdown();
+  driver.join();
+  return stats;
+}
+
+struct Tally {
+  const char* tenant;
+  std::uint64_t dispatched;
+  std::uint64_t contended;
+};
+
+/// Tenants in name order.
+void expect_tallies(const ServiceStats& stats, const Tally (&expected)[4]) {
+  ASSERT_EQ(stats.tenants.size(), std::size(expected));
+  for (std::size_t i = 0; i < std::size(expected); ++i) {
+    const TenantStats& tenant = stats.tenants[i];
+    EXPECT_EQ(tenant.name, expected[i].tenant);
+    EXPECT_EQ(tenant.dispatched_units, expected[i].dispatched) << tenant.name;
+    EXPECT_EQ(tenant.contended_dispatched_units, expected[i].contended)
+        << tenant.name;
+  }
+}
+
+// The drive loop's dispatch decisions, pinned: each tenant's dispatched
+// and contended-dispatched units for a queued mix, as the loop that
+// advanced every running session after every engine step recorded
+// them. A change to when a deficit round-robin round runs, the order it
+// serves tenants and workloads in, or the credit and headroom it grants
+// moves the contended tallies.
+
+TEST(ServeService, QueuedContendedMixDispatchesAsBefore) {
+  std::unique_ptr<Service> service = mix_test::make_mix_service();
+  ASSERT_NE(service, nullptr);
+  const ServiceStats stats =
+      drain_queued(*service, mix_test::contended_mix(1, 256));
+  const Tally expected[] = {
+      {"alpha", 381, 75},
+      {"beta", 569, 66},
+      {"delta", 488, 61},
+      {"gamma", 485, 71},
+  };
+  expect_tallies(stats, expected);
+  EXPECT_EQ(stats.completed, 256u);
+  EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(ServeService, FractionalCreditMixDispatchesAsBefore) {
+  // At quantum 1 these weights bank less than a unit of credit per
+  // round, so under binding quotas rounds stall: one that dispatched
+  // nothing repeated at every engine step, banking credit, until a
+  // tenant with headroom held a whole unit. The tallies pin when those
+  // repeats dispatch.
+  constexpr mix_test::MixTenants kFractional = {
+      {"alpha", 0.3, 6},
+      {"beta", 0.45, 8},
+      {"gamma", 0.7, 12},
+      {"delta", 1.3, 16},
+  };
+  std::unique_ptr<Service> service =
+      mix_test::make_mix_service(kFractional, 1);
+  ASSERT_NE(service, nullptr);
+  const ServiceStats stats =
+      drain_queued(*service, mix_test::contended_mix(5, 200));
+  const Tally expected[] = {
+      {"alpha", 397, 323},
+      {"beta", 422, 386},
+      {"delta", 326, 319},
+      {"gamma", 375, 353},
+  };
+  expect_tallies(stats, expected);
+  EXPECT_EQ(stats.completed, 200u);
+  EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(ServeService, TimedOutMixDispatchesAsRecorded) {
+  // Every task carries an execution timeout, and some first attempts
+  // hang until it kills them. A finished unit's release cancels its
+  // leftover timeout event, which would otherwise fire as a no-op engine
+  // step, and a stalled round repeats once per step, so the contended
+  // tallies differ from those of a loop that steps through such events
+  // (41, 28, 55 and 30). Recorded with the cancel in place.
+  std::unique_ptr<Service> service = mix_test::make_mix_service();
+  ASSERT_NE(service, nullptr);
+  const ServiceStats stats =
+      drain_queued(*service, mix_test::contended_mix(3, 200, true));
+  const Tally expected[] = {
+      {"alpha", 337, 42},
+      {"beta", 368, 26},
+      {"delta", 390, 47},
+      {"gamma", 384, 28},
+  };
+  expect_tallies(stats, expected);
+  EXPECT_EQ(stats.completed, 200u);
+  EXPECT_EQ(stats.failed, 0u);
+}
+
 TEST(ServeService, DrainNeverReturnsWhileAWorkloadIsStarting) {
   // The drive thread takes a workload off the queue, then creates,
   // allocates and starts its session. A drain() that lands between the
@@ -342,6 +450,57 @@ TEST(ServeService, DrainNeverReturnsWhileAWorkloadIsStarting) {
         << " finished (cycle " << cycle << ")";
     EXPECT_EQ(status.value().units_done, kUnits);
   }
+}
+
+TEST(ServeService, CancelWhileAWorkloadStartsCancelsItAndFreesItsCores) {
+  // A workload the drive thread has taken off the queue reads QUEUED
+  // until its session has started, and starting reads its spec. A
+  // CANCEL in that window must reach the drive thread like a running
+  // workload's: the workload ends CANCELLED and gives back the cores
+  // it holds. Waiting for the queue to empty first aims each cancel at
+  // that window.
+  ServiceConfig config;
+  // A one-unit in-flight cap keeps each run going for thousands of
+  // engine steps, long after the cancel lands.
+  config.default_tenant.max_inflight_units = 1;
+  Driven driven(std::move(config));
+  Service& service = *driven.service;
+  const Count machine = service.machine_cores();
+  // The whole machine each time: cores left committed by one workload
+  // would keep the next queued.
+  const auto admitted = [&service] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (service.stats().queue_depth != 0) {
+      if (std::chrono::steady_clock::now() > deadline) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  constexpr std::uint64_t kCycles = 20;
+  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+    auto id = service.submit("alice", bag_spec(20000, machine));
+    ASSERT_TRUE(id.ok()) << id.status().to_string();
+    ASSERT_TRUE(admitted()) << "cycle " << cycle;
+    const Status cancelled = service.cancel(id.value());
+    ASSERT_TRUE(cancelled.is_ok()) << cancelled.to_string();
+    service.drain();
+    auto results = service.results(id.value());
+    ASSERT_TRUE(results.ok()) << results.status().to_string();
+    ASSERT_EQ(results.value().state, WorkloadState::kCancelled)
+        << "cycle " << cycle << ": " << results.value().outcome.to_string();
+  }
+  auto last = service.submit("alice", bag_spec(4, machine));
+  ASSERT_TRUE(last.ok());
+  ASSERT_TRUE(admitted());
+  service.drain();
+  auto done = service.results(last.value());
+  ASSERT_TRUE(done.ok()) << done.status().to_string();
+  EXPECT_EQ(done.value().state, WorkloadState::kDone);
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cancelled, kCycles);
+  EXPECT_EQ(stats.completed, 1u);
+  EXPECT_EQ(stats.failed, 0u);
 }
 
 TEST(ServeService, WorkloadThatFailsToStartLeavesNothingRunning) {
