@@ -1,15 +1,18 @@
 // Microbenchmarks of the toolkit's hot paths (google-benchmark):
 // event-engine throughput, scheduler selection, kernel translation,
 // task-callable construction (TaskFn vs std::function), the MD force
-// loop and the analysis eigensolver.
+// loop, the analysis eigensolver and the snapshot checksums.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <functional>
 #include <new>
+#include <string>
+#include <string_view>
 
 #include "analysis/eigen.hpp"
+#include "ckpt/snapshot.hpp"
 #include "common/rng.hpp"
 #include "common/task_fn.hpp"
 #include "common/uid.hpp"
@@ -172,6 +175,30 @@ void BM_JacobiEigensolver(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JacobiEigensolver)->Arg(16)->Arg(64);
+
+/// A checksum over a 1 MB payload: FNV-1a verifies v1 and v2
+/// snapshots, word_checksum is what v3 files carry.
+template <std::uint64_t (*Checksum)(std::string_view)>
+void run_checksum_bench(benchmark::State& state) {
+  std::string payload(std::size_t{1} << 20, '\0');
+  Xoshiro256 rng(11);
+  for (char& byte : payload) byte = static_cast<char>(rng.next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Checksum(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(payload.size()) *
+                          state.iterations());
+}
+
+void BM_ChecksumFnv1a(benchmark::State& state) {
+  run_checksum_bench<ckpt::fnv1a>(state);
+}
+BENCHMARK(BM_ChecksumFnv1a);
+
+void BM_ChecksumWord(benchmark::State& state) {
+  run_checksum_bench<ckpt::word_checksum>(state);
+}
+BENCHMARK(BM_ChecksumWord);
 
 }  // namespace
 

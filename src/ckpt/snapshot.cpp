@@ -4,6 +4,8 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <initializer_list>
+#include <limits>
 
 #include "common/atomic_file.hpp"
 
@@ -17,37 +19,103 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 constexpr std::size_t kHeaderSize = sizeof(kSnapshotMagic) + 4 + 8 + 8;
 constexpr std::size_t kChecksumOffset = kHeaderSize - 8;
 
-std::uint64_t fnv1a_extend(std::uint64_t hash, const char* data,
-                           std::size_t size) {
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= static_cast<unsigned char>(data[i]);
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-/// Little-endian on any host; one plain store/load where the host
-/// already is little-endian.
+/// Little-endian on any host; one plain unaligned store/load where the
+/// host already is little-endian (gcc -O2 keeps the byte loops).
 template <typename T>
 void store_le(char* at, T v) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    at[i] = static_cast<char>(static_cast<unsigned char>(v >> (8 * i)));
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(at, &v, sizeof(T));
+  } else {
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      at[i] = static_cast<char>(static_cast<unsigned char>(v >> (8 * i)));
+    }
   }
 }
 
 template <typename T>
 T load_le(const char* at) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= std::uint64_t{static_cast<unsigned char>(at[i])} << (8 * i);
+  if constexpr (std::endian::native == std::endian::little) {
+    T v = 0;
+    std::memcpy(&v, at, sizeof(T));
+    return v;
+  } else {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      v |= std::uint64_t{static_cast<unsigned char>(at[i])} << (8 * i);
+    }
+    return static_cast<T>(v);
   }
-  return static_cast<T>(v);
+}
+
+// xxHash64's primes.
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+/// Folds one word into a lane (xxHash64's round). Multiplying by an
+/// odd constant, adding and rotating are each invertible, so with either
+/// argument fixed the result is a bijection of the other.
+std::uint64_t lane_round(std::uint64_t lane, std::uint64_t word) {
+  return std::rotl(lane + word * kPrime2, 31) * kPrime1;
+}
+
+/// Folds a word into the running hash and avalanches it; every step
+/// (xor, xor-shift, odd multiply) is invertible, so again a bijection
+/// of either argument with the other fixed.
+std::uint64_t absorb(std::uint64_t hash, std::uint64_t word) {
+  hash ^= word;
+  hash ^= hash >> 33;
+  hash *= kPrime2;
+  hash ^= hash >> 29;
+  hash *= kPrime3;
+  hash ^= hash >> 32;
+  return hash;
 }
 
 }  // namespace
 
 std::uint64_t fnv1a(std::string_view bytes) {
-  return fnv1a_extend(kFnvOffsetBasis, bytes.data(), bytes.size());
+  std::uint64_t hash = kFnvOffsetBasis;
+  for (const char byte : bytes) {
+    hash ^= static_cast<unsigned char>(byte);
+    hash *= kFnvPrime;
+  }
+  return hash;
+}
+
+std::uint64_t word_checksum(std::string_view bytes) {
+  const char* at = bytes.data();
+  std::size_t left = bytes.size();
+  std::uint64_t hash = absorb(kPrime5, bytes.size());
+  if (left >= 32) {
+    // Four independent multiply chains, one per word of a 32-byte
+    // block, where FNV-1a has one chain per byte.
+    std::uint64_t lane0 = kPrime1 + kPrime2;
+    std::uint64_t lane1 = kPrime2;
+    std::uint64_t lane2 = 0;
+    std::uint64_t lane3 = 0 - kPrime1;
+    for (; left >= 32; at += 32, left -= 32) {
+      lane0 = lane_round(lane0, load_le<std::uint64_t>(at));
+      lane1 = lane_round(lane1, load_le<std::uint64_t>(at + 8));
+      lane2 = lane_round(lane2, load_le<std::uint64_t>(at + 16));
+      lane3 = lane_round(lane3, load_le<std::uint64_t>(at + 24));
+    }
+    for (const std::uint64_t lane : {lane0, lane1, lane2, lane3}) {
+      hash = absorb(hash, lane);
+    }
+  }
+  for (; left >= 8; at += 8, left -= 8) {
+    hash = absorb(hash, load_le<std::uint64_t>(at));
+  }
+  if (left > 0) {
+    std::uint64_t tail = 0;  // the last 1-7 bytes, zero-padded
+    for (std::size_t i = 0; i < left; ++i) {
+      tail |= std::uint64_t{static_cast<unsigned char>(at[i])} << (8 * i);
+    }
+    hash = absorb(hash, tail);
+  }
+  return hash;
 }
 
 namespace {
@@ -57,18 +125,35 @@ namespace {
 // The layout is written down once (encode_payload and the put_*
 // helpers) and driven through two sinks: a Sizer counts the payload, so
 // the file image is allocated once at its exact size, then a Writer
-// fills it with fixed-width little-endian stores, folding every byte
-// into the FNV-1a checksum as it lands.
+// fills it. The v3 primitives are compact: integers, counts and string
+// lengths are unsigned LEB128, and a double is a tag byte, followed by
+// its 8 raw bytes unless its bits are +0.0 or kNoTime, the values most
+// time points and retry settings hold.
 
-/// The field vocabulary, in terms of each sink's two primitives:
-/// put() for a fixed-width integer and bytes() for a raw run.
+/// A v3 double's tag byte.
+enum : std::uint8_t { kZeroTag = 0, kNoTimeTag = 1, kRawTag = 2 };
+constexpr std::uint64_t kNoTimeBits = std::bit_cast<std::uint64_t>(kNoTime);
+
+/// The field vocabulary, in terms of each sink's primitives: byte(),
+/// varint(), word() for 8 raw bytes and bytes() for a raw run.
 template <typename Derived>
 class Sink {
  public:
-  void u8(std::uint8_t v) { self().put(v); }
-  void u32(std::uint32_t v) { self().put(v); }
-  void u64(std::uint64_t v) { self().put(v); }
-  void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+  void u8(std::uint8_t v) { self().byte(v); }
+  void u32(std::uint32_t v) { self().varint(v); }
+  void u64(std::uint64_t v) { self().varint(v); }
+  /// Matched by bits, so -0.0 and NaN payloads keep theirs.
+  void f64(double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    if (bits == 0) {
+      u8(kZeroTag);
+    } else if (bits == kNoTimeBits) {
+      u8(kNoTimeTag);
+    } else {
+      u8(kRawTag);
+      self().word(bits);
+    }
+  }
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& v) {
     u64(v.size());
@@ -90,10 +175,12 @@ class Sink {
 
 class Sizer : public Sink<Sizer> {
  public:
-  template <typename T>
-  void put(T) {
-    size_ += sizeof(T);
+  void byte(std::uint8_t) { ++size_; }
+  /// 7 value bits a byte, at least one byte.
+  void varint(std::uint64_t v) {
+    size_ += (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
   }
+  void word(std::uint64_t) { size_ += 8; }
   void bytes(const char*, std::size_t n) { size_ += n; }
   std::size_t size() const { return size_; }
 
@@ -107,27 +194,26 @@ class Writer : public Sink<Writer> {
  public:
   explicit Writer(char* out) : out_(out) {}
 
-  template <typename T>
-  void put(T v) {
+  void byte(std::uint8_t v) { *out_++ = static_cast<char>(v); }
+  void varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) {
+      *out_++ = static_cast<char>(static_cast<std::uint8_t>(v) | 0x80);
+    }
+    *out_++ = static_cast<char>(v);
+  }
+  void word(std::uint64_t v) {
     store_le(out_, v);
-    advance(sizeof(T));
+    out_ += 8;
   }
   void bytes(const char* data, std::size_t n) {
     std::memcpy(out_, data, n);
-    advance(n);
-  }
-
-  const char* position() const { return out_; }
-  std::uint64_t checksum() const { return hash_; }
-
- private:
-  void advance(std::size_t n) {
-    hash_ = fnv1a_extend(hash_, out_, n);
     out_ += n;
   }
 
+  const char* position() const { return out_; }
+
+ private:
   char* out_;
-  std::uint64_t hash_ = kFnvOffsetBasis;
 };
 
 template <typename Out>
@@ -316,18 +402,48 @@ void encode_payload(Out& w, const Snapshot& snapshot) {
 
 // ------------------------------------------------------------ decoding
 
-/// Bounds-checked little-endian reader. The first out-of-bounds access
-/// latches a diagnostic error; all subsequent reads return zero
-/// values, so decoders can run straight through and check status()
-/// once at the end.
+/// The fewest bytes one record of a counted list can take: fixed-width
+/// (v1, v2) and compact (v3). A v3 file must be checked against the v3
+/// minimum, or valid files are refused: a v3 graph node can take 4
+/// bytes where a v2 one takes 21.
+struct RecordSize {
+  std::size_t fixed;
+  std::size_t compact;
+};
+
+/// Bounds-checked reader of one format version's primitives:
+/// fixed-width little-endian (v1, v2) or compact (v3). The first
+/// out-of-bounds access or malformed primitive latches a diagnostic
+/// error; all subsequent reads return zero values, so decoders can run
+/// straight through and check status() once at the end.
 class Reader {
  public:
-  explicit Reader(std::string_view data) : data_(data) {}
+  Reader(std::string_view data, std::uint32_t version)
+      : data_(data), compact_(version >= 3) {}
 
   std::uint8_t u8() { return get<std::uint8_t>(); }
-  std::uint32_t u32() { return get<std::uint32_t>(); }
-  std::uint64_t u64() { return get<std::uint64_t>(); }
-  double f64() { return std::bit_cast<double>(u64()); }
+  std::uint32_t u32() {
+    if (!compact_) return get<std::uint32_t>();
+    const std::uint64_t v = varint();
+    if (v > std::numeric_limits<std::uint32_t>::max()) {
+      fail("u32 field " + std::to_string(v) + " out of range");
+      return 0;
+    }
+    return static_cast<std::uint32_t>(v);
+  }
+  std::uint64_t u64() { return compact_ ? varint() : get<std::uint64_t>(); }
+  double f64() {
+    if (!compact_) return std::bit_cast<double>(get<std::uint64_t>());
+    const std::uint8_t tag = u8();
+    switch (tag) {
+      case kZeroTag: return 0.0;
+      case kNoTimeTag: return kNoTime;
+      case kRawTag: return std::bit_cast<double>(get<std::uint64_t>());
+      default:
+        fail("double tag " + std::to_string(tag) + " out of range");
+        return 0.0;
+    }
+  }
   bool boolean() { return u8() != 0; }
   std::string str() {
     const std::uint64_t size = u64();
@@ -368,14 +484,14 @@ class Reader {
     }
     return v;
   }
-  /// A count about to drive a loop of >= `element_size`-byte records:
-  /// must fit in the remaining payload, or a corrupt length would
-  /// spin the decoder on billions of zero reads. Divides rather than
-  /// multiplies: `v * element_size` wraps for a huge v. A count that
-  /// passes is therefore also safe to reserve().
-  std::uint64_t count(std::size_t element_size) {
+  /// A count about to drive a loop of records of at least `size`: must
+  /// fit in the remaining payload, or a corrupt length would spin the
+  /// decoder on billions of zero reads. Divides rather than multiplies:
+  /// `v * size` wraps for a huge v. A count that passes is therefore
+  /// also safe to reserve().
+  std::uint64_t count(RecordSize size) {
     const std::uint64_t v = u64();
-    if (ok_ && v > remaining() / element_size) {
+    if (ok_ && v > remaining() / (compact_ ? size.compact : size.fixed)) {
       fail("element count " + std::to_string(v) +
            " exceeds the remaining payload");
       return 0;
@@ -403,6 +519,23 @@ class Reader {
     pos_ += sizeof(T);
     return v;
   }
+  /// Unsigned LEB128: at most 10 bytes, the 10th holding bit 63 alone.
+  std::uint64_t varint() {
+    const std::size_t start = pos_;
+    std::uint64_t v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+      const std::uint8_t byte = u8();
+      if (!ok_) return 0;
+      if (shift == 63 && byte > 1) {
+        fail("varint at offset " + std::to_string(start) +
+             ((byte & 0x80) != 0 ? " is longer than 10 bytes"
+                                 : " exceeds 64 bits"));
+        return 0;
+      }
+      v |= std::uint64_t{byte & 0x7Fu} << shift;
+      if (byte < 0x80) return v;
+    }
+  }
   void fail(const std::string& message) {
     if (!ok_) return;
     ok_ = false;
@@ -411,22 +544,22 @@ class Reader {
 
   std::string_view data_;
   std::size_t pos_ = 0;
+  const bool compact_;
   bool ok_ = true;
   std::string message_;
 };
 
-/// Reads a count of >= `element_size`-byte records into `out`, reserved
+/// Reads a count of records of at least `size` into `out`, reserved
 /// once from the validated count; `fill` decodes one record in place.
 template <typename T, typename Fill>
-void get_each(Reader& r, std::size_t element_size, std::vector<T>& out,
-              Fill fill) {
-  const std::uint64_t n = r.count(element_size);
+void get_each(Reader& r, RecordSize size, std::vector<T>& out, Fill fill) {
+  const std::uint64_t n = r.count(size);
   out.reserve(n);
   for (std::uint64_t i = 0; i < n && r.ok(); ++i) fill(out.emplace_back());
 }
 
 void get_staging(Reader& r, std::vector<pilot::StagingDirective>& v) {
-  get_each(r, 18, v, [&r](pilot::StagingDirective& directive) {
+  get_each(r, {18, 4}, v, [&r](pilot::StagingDirective& directive) {
     directive.source = r.str();
     directive.target = r.str();
     directive.action = static_cast<pilot::StagingDirective::Action>(
@@ -440,8 +573,8 @@ void get_description(Reader& r, std::uint32_t version,
   d.name = r.str();
   if (version >= 2) d.session = r.str();
   d.executable = r.str();
-  get_each(r, 8, d.arguments, [&r](std::string& arg) { arg = r.str(); });
-  const std::uint64_t n_env = r.count(16);
+  get_each(r, {8, 1}, d.arguments, [&r](std::string& arg) { arg = r.str(); });
+  const std::uint64_t n_env = r.count({16, 2});
   for (std::uint64_t i = 0; i < n_env && r.ok(); ++i) {
     std::string key = r.str();
     d.environment[std::move(key)] = r.str();
@@ -480,13 +613,13 @@ void get_agent(Reader& r, pilot::SimAgent::SavedState& a) {
   a.next_launch_seq = r.u64();
   a.scheduler_cycles = r.u64();
   a.spawn_total = r.f64();
-  get_each(r, 8, a.spawner_free_at, [&r](TimePoint& t) { t = r.f64(); });
-  get_each(r, 8, a.waiting, [&r](std::string& uid) { uid = r.str(); });
-  get_each(r, 16, a.active, [&r](auto& entry) {
+  get_each(r, {8, 1}, a.spawner_free_at, [&r](TimePoint& t) { t = r.f64(); });
+  get_each(r, {8, 1}, a.waiting, [&r](std::string& uid) { uid = r.str(); });
+  get_each(r, {16, 2}, a.active, [&r](auto& entry) {
     entry.first = r.u64();
     entry.second = r.str();
   });
-  get_each(r, 25, a.events, [&r](auto& event) {
+  get_each(r, {25, 4}, a.events, [&r](auto& event) {
     event.uid = r.str();
     event.kind =
         static_cast<pilot::UnitEventKind>(r.ordinal(4, "unit event kind"));
@@ -499,15 +632,15 @@ void get_faults(Reader& r, sim::FaultModel::SavedState& f) {
   f.fork_rng = r.rng();
   f.launch_rng = r.rng();
   f.hang_rng = r.rng();
-  get_each(r, 49, f.consumers, [&r](auto& consumer) {
+  get_each(r, {49, 7}, f.consumers, [&r](auto& consumer) {
     consumer.nodes_left = static_cast<Count>(r.u64());
     consumer.rng = r.rng();
   });
   f.node_failures = static_cast<Count>(r.u64());
   f.launch_failures = static_cast<Count>(r.u64());
   f.hangs = static_cast<Count>(r.u64());
-  get_each(r, 8, f.trace, [&r](std::string& line) { line = r.str(); });
-  get_each(r, 24, f.armed, [&r](auto& armed) {
+  get_each(r, {8, 1}, f.trace, [&r](std::string& line) { line = r.str(); });
+  get_each(r, {24, 3}, f.armed, [&r](auto& armed) {
     armed.consumer = r.u64();
     armed.time = r.f64();
     armed.seq = r.u64();
@@ -515,28 +648,28 @@ void get_faults(Reader& r, sim::FaultModel::SavedState& f) {
 }
 
 void get_graph(Reader& r, core::GraphExecutor::SavedState& g) {
-  get_each(r, 21, g.nodes, [&r](auto& node) {
+  get_each(r, {21, 4}, g.nodes, [&r](auto& node) {
     node.status =
         static_cast<core::NodeStatus>(r.ordinal(5, "node status"));
     node.unit_uid = r.str();
     node.error = r.read_status();
   });
-  get_each(r, 18, g.groups, [&r](auto& group) {
+  get_each(r, {18, 4}, g.groups, [&r](auto& group) {
     group.settled = r.u64();
     group.done = r.u64();
     group.decided = r.boolean();
     group.passed = r.boolean();
   });
-  get_each(r, 1, g.chain_sets_decided,
+  get_each(r, {1, 1}, g.chain_sets_decided,
            [&r](auto&& decided) { decided = r.boolean(); });
-  get_each(r, 8, g.expander_stack,
+  get_each(r, {8, 1}, g.expander_stack,
            [&r](std::size_t& index) { index = r.u64(); });
   g.expanders_seen = r.u64();
-  get_each(r, 9, g.expander_log, [&r](auto& entry) {
+  get_each(r, {9, 2}, g.expander_log, [&r](auto& entry) {
     entry.first = r.u64();
     entry.second = r.boolean();
   });
-  get_each(r, 20, g.errors, [&r](auto& entry) {
+  get_each(r, {20, 3}, g.errors, [&r](auto& entry) {
     entry.first = r.u64();
     entry.second = r.read_status();
   });
@@ -548,7 +681,7 @@ void get_graph(Reader& r, core::GraphExecutor::SavedState& g) {
 
 Result<Snapshot> decode_payload(std::string_view payload,
                                 std::uint32_t version) {
-  Reader r(payload);
+  Reader r(payload, version);
   Snapshot snapshot;
   snapshot.machine = r.str();
   snapshot.cores = static_cast<Count>(r.u64());
@@ -559,11 +692,11 @@ Result<Snapshot> decode_payload(std::string_view payload,
   if (version >= 2) snapshot.session = r.str();
   snapshot.workload_text = r.str();
   snapshot.engine_now = r.f64();
-  get_each(r, 16, snapshot.uid_counters, [&r](auto& entry) {
+  get_each(r, {16, 2}, snapshot.uid_counters, [&r](auto& entry) {
     entry.first = r.str();
     entry.second = r.u64();
   });
-  get_each(r, 100, snapshot.units, [&r, version](UnitRecord& unit) {
+  get_each(r, {100, 31}, snapshot.units, [&r, version](UnitRecord& unit) {
     unit.uid = r.str();
     get_description(r, version, unit.description);
     get_unit_state(r, unit.state);
@@ -572,18 +705,18 @@ Result<Snapshot> decode_payload(std::string_view payload,
   });
   snapshot.pattern_overhead = r.f64();
   snapshot.unit_manager.next_pilot = r.u64();
-  get_each(r, 8, snapshot.unit_manager.unrouted,
+  get_each(r, {8, 1}, snapshot.unit_manager.unrouted,
            [&r](std::string& uid) { uid = r.str(); });
   snapshot.unit_manager.total_units = r.u64();
   snapshot.unit_manager.total_retries = r.u64();
   snapshot.unit_manager.recovered_units = r.u64();
   snapshot.unit_manager.retry_rng = r.rng();
-  get_each(r, 24, snapshot.retries, [&r](RetryRecord& retry) {
+  get_each(r, {24, 3}, snapshot.retries, [&r](RetryRecord& retry) {
     retry.uid = r.str();
     retry.time = r.f64();
     retry.seq = r.u64();
   });
-  get_each(r, 8, snapshot.pilots, [&r](PilotRecord& pilot) {
+  get_each(r, {8, 11}, snapshot.pilots, [&r](PilotRecord& pilot) {
     pilot.uid = r.str();
     get_agent(r, pilot.agent);
   });
@@ -614,7 +747,8 @@ std::string encode_snapshot(const Snapshot& snapshot) {
   encode_payload(writer, snapshot);
   ENTK_CHECK(writer.position() == out.data() + out.size(),
              "snapshot sizing pass disagrees with the encoder");
-  store_le(out.data() + kChecksumOffset, writer.checksum());
+  store_le(out.data() + kChecksumOffset,
+           word_checksum(std::string_view(out).substr(kHeaderSize)));
   return out;
 }
 
@@ -649,7 +783,9 @@ Result<Snapshot> decode_snapshot(std::string_view bytes) {
                           " payload bytes, file carries " +
                           std::to_string(payload.size()));
   }
-  if (fnv1a(payload) != checksum) {
+  const std::uint64_t actual =
+      version >= 3 ? word_checksum(payload) : fnv1a(payload);
+  if (actual != checksum) {
     return make_error(Errc::kIoError,
                       "corrupt snapshot: payload checksum mismatch "
                       "(bit rot or torn write)");

@@ -11,12 +11,19 @@
 // schedule is identical to the uninterrupted same-seed run (see
 // tests/checkpoint_restart_test.cpp).
 //
-// On-disk format (little-endian):
+// On-disk format (header little-endian):
 //   8 bytes   magic "ENTKCKPT"
-//   u32       format version (kFormatVersion)
+//   u32       format version (written: 3, read: 1-3)
 //   u64       payload size in bytes
-//   u64       FNV-1a checksum of the payload
+//   u64       checksum of the payload: word_checksum() in v3, fnv1a()
+//             in v1 and v2
 //   payload   the encoded Snapshot
+// The v3 payload is compact: every integer, count and string length is
+// unsigned LEB128 (at most 10 bytes), a bool or enum ordinal is one
+// byte, and a double is a tag byte (0: +0.0, 1: kNoTime, 2: the 8 raw
+// little-endian bytes follow). v1 and v2 payloads hold the same fields
+// fixed-width (u32, u64, raw doubles). Builds that write v2 reject a
+// v3 file ("unsupported checkpoint format version 3").
 // Files are published crash-consistently (write-temp + fsync + atomic
 // rename, src/common/atomic_file.hpp): a reader sees either the old
 // snapshot or the new one, never a torn write. Corrupt files —
@@ -47,9 +54,10 @@ namespace entk::ckpt {
 inline constexpr char kSnapshotMagic[8] = {'E', 'N', 'T', 'K',
                                            'C', 'K', 'P', 'T'};
 /// v2 adds the owning session name (snapshot identity + per-unit
-/// descriptions). v1 files still decode, with every session field
-/// empty — the legacy single-workload layout.
-inline constexpr std::uint32_t kFormatVersion = 2;
+/// descriptions); v1 files decode with every session field empty — the
+/// legacy single-workload layout. v3 stores the v2 fields compactly
+/// under a faster checksum.
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr std::uint32_t kMinFormatVersion = 1;
 
 /// One compute unit: identity, (re)creation inputs, and captured state.
@@ -106,8 +114,15 @@ struct Snapshot {
   core::GraphExecutor::SavedState graph;
 };
 
-/// 64-bit FNV-1a over a byte string (payload checksum).
+/// 64-bit FNV-1a over a byte string: the payload checksum of v1 and v2
+/// files.
 std::uint64_t fnv1a(std::string_view bytes);
+
+/// The v3 payload checksum: xxHash64-style rounds over four 8-byte
+/// lanes, then the lanes and the 0-31 tail bytes folded in. Every step
+/// is a bijection of the running state, so a change confined to one
+/// 8-byte word of the input always changes the result.
+std::uint64_t word_checksum(std::string_view bytes);
 
 /// Encodes a snapshot into the full file image (header + payload).
 std::string encode_snapshot(const Snapshot& snapshot);

@@ -8,6 +8,7 @@
 // Thread-safe for the local backend (worker threads mutate state).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -100,6 +101,16 @@ class ComputeUnit {
   /// slot recorded by another agent never matches.
   std::size_t agent_slot() const { return agent_slot_; }
   void set_agent_slot(std::size_t slot) { agent_slot_ = slot; }
+  /// Whether the unit sits in a WaitingIndex: set by its push, cleared
+  /// by every pop, erase and drain. Written only by the index's owner (a
+  /// SimAgent on the engine thread, a LocalAgent under its mutex). It is
+  /// atomic because UnitManager::cancel_unit asks every agent, so
+  /// another LocalAgent may read it; relaxed, because such a reader
+  /// then looks for the unit in its own index and does not find it.
+  bool waiting() const { return waiting_.load(std::memory_order_relaxed); }
+  void set_waiting(bool waiting) {
+    waiting_.store(waiting, std::memory_order_relaxed);
+  }
 
   // --- checkpoint/restart (ckpt::Coordinator only) ---
   /// All mutable state.
@@ -130,6 +141,7 @@ class ComputeUnit {
   const std::shared_ptr<CallbackGate> gate_;
   std::size_t manager_index_ = kNoIndex;
   std::size_t agent_slot_ = kNoIndex;
+  std::atomic<bool> waiting_{false};
 
   mutable Mutex mutex_{LockRank::kComputeUnit};
   UnitState state_ ENTK_GUARDED_BY(mutex_) = UnitState::kNew;

@@ -6,28 +6,33 @@
 
 namespace entk::pilot {
 
+WaitingIndex::~WaitingIndex() {
+  for (auto& [cores, bucket] : buckets_) {
+    for (Picked& entry : bucket) entry.unit->set_waiting(false);
+  }
+}
+
 void WaitingIndex::push(ComputeUnitPtr unit) {
   ENTK_CHECK(unit != nullptr, "cannot index a null unit");
+  ENTK_CHECK(!unit->waiting(), "unit " + unit->uid() + " is already waiting");
+  unit->set_waiting(true);
   const Count cores = unit->description().cores;
-  const ComputeUnit* key = unit.get();
-  ENTK_CHECK(bucket_of_.emplace(key, cores).second,
-             "unit " + unit->uid() + " is already waiting");
   buckets_[cores].push_back({next_seq_++, std::move(unit)});
   ++size_;
 }
 
 bool WaitingIndex::erase(const ComputeUnit* unit) {
-  const auto where = bucket_of_.find(unit);
-  if (where == bucket_of_.end()) return false;
-  const auto it = buckets_.find(where->second);
-  ENTK_CHECK(it != buckets_.end(), "waiting index out of sync");
+  if (!unit->waiting()) return false;
+  const auto it = buckets_.find(unit->description().cores);
+  if (it == buckets_.end()) return false;
   Bucket& bucket = it->second;
   const auto entry =
       std::find_if(bucket.begin(), bucket.end(),
                    [unit](const Picked& p) { return p.unit.get() == unit; });
-  ENTK_CHECK(entry != bucket.end(), "waiting index out of sync");
+  // A unit waiting in another agent's index is absent from this one.
+  if (entry == bucket.end()) return false;
+  entry->unit->set_waiting(false);
   bucket.erase(entry);
-  bucket_of_.erase(where);
   --size_;
   return true;
 }
@@ -94,12 +99,13 @@ std::vector<ComputeUnitPtr> WaitingIndex::drain() {
   std::sort(all.begin(), all.end(),
             [](const Picked& a, const Picked& b) { return a.seq < b.seq; });
   buckets_.clear();
-  // clear() would keep the hash table's bucket array.
-  decltype(bucket_of_)().swap(bucket_of_);
   size_ = 0;
   std::vector<ComputeUnitPtr> units;
   units.reserve(all.size());
-  for (auto& entry : all) units.push_back(std::move(entry.unit));
+  for (auto& entry : all) {
+    entry.unit->set_waiting(false);
+    units.push_back(std::move(entry.unit));
+  }
   return units;
 }
 
@@ -122,7 +128,7 @@ void WaitingIndex::pop_from(std::map<Count, Bucket>::iterator it,
   Bucket& bucket = it->second;
   out = std::move(bucket.front());
   bucket.pop_front();
-  bucket_of_.erase(out.unit.get());
+  out.unit->set_waiting(false);
   --size_;
 }
 

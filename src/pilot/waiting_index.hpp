@@ -7,7 +7,10 @@
 // the backlog grouped by core demand instead:
 //
 //   buckets_:  cores -> FIFO of (arrival seq, unit)
-//   bucket_of_: unit -> its bucket key, for O(bucket) cancellation
+//
+// A unit records that it waits (ComputeUnit::waiting), and its bucket
+// key is its own core count, so cancellation finds it in O(bucket)
+// without a per-unit hash node.
 //
 // Arrival seqs are monotone, so "earliest waiting unit", "earliest
 // unit fitting a budget" and "largest unit fitting a budget" are all
@@ -25,7 +28,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "pilot/compute_unit.hpp"
@@ -41,7 +43,14 @@ class WaitingIndex {
     ComputeUnitPtr unit;
   };
 
-  /// Appends a unit (arrival order is the push order).
+  WaitingIndex() = default;
+  WaitingIndex(const WaitingIndex&) = delete;
+  WaitingIndex& operator=(const WaitingIndex&) = delete;
+  /// Clears the waiting mark of every unit still indexed.
+  ~WaitingIndex();
+
+  /// Appends a unit that waits nowhere else (arrival order is the push
+  /// order).
   void push(ComputeUnitPtr unit);
 
   /// Removes one unit wherever it waits; returns false when absent.
@@ -83,7 +92,6 @@ class WaitingIndex {
   void pop_from(std::map<Count, Bucket>::iterator it, Picked& out);
 
   std::map<Count, Bucket> buckets_;  // emptied buckets are kept
-  std::unordered_map<const ComputeUnit*, Count> bucket_of_;
   std::uint64_t next_seq_ = 0;
   std::size_t size_ = 0;
 };

@@ -32,10 +32,37 @@ double round_credit(const TenantConfig& config, std::size_t quantum) {
   return config.weight * static_cast<double>(quantum);
 }
 
+/// The most a tenant earning `credit` per round can bank.
+double deficit_cap(double credit) { return credit * kDeficitCapRounds; }
+
 /// `deficit` after a round grants `credit`: banked up to
 /// kDeficitCapRounds rounds' worth.
 double bank_credit(double deficit, double credit) {
-  return std::min(deficit + credit, credit * kDeficitCapRounds);
+  return std::min(deficit + credit, deficit_cap(credit));
+}
+
+/// Refuses a tenant policy that could never dispatch at `quantum`.
+Status check_tenant_config(const TenantConfig& config, std::size_t quantum) {
+  if (config.weight <= 0.0 || !std::isfinite(config.weight)) {
+    return make_error(Errc::kInvalidArgument,
+                      "tenant weight must be positive and finite");
+  }
+  // A flush dispatches whole units of banked credit, so a tenant that
+  // cannot bank one would never dispatch.
+  const double cap = deficit_cap(round_credit(config, quantum));
+  if (cap < 1.0) {
+    return make_error(Errc::kInvalidArgument,
+                      "tenant weight too small: it banks at most " +
+                          std::to_string(cap) +
+                          " units of credit at drr_quantum " +
+                          std::to_string(quantum) +
+                          ", and a dispatch needs 1");
+  }
+  if (config.max_sessions == 0 || config.max_inflight_units == 0) {
+    return make_error(Errc::kInvalidArgument,
+                      "tenant quotas must be at least 1");
+  }
+  return Status::ok();
 }
 
 }  // namespace
@@ -73,6 +100,8 @@ Result<std::unique_ptr<Service>> Service::create(ServiceConfig config) {
     return make_error(Errc::kInvalidArgument,
                       "drr_quantum must be at least 1");
   }
+  ENTK_RETURN_IF_ERROR(
+      check_tenant_config(config.default_tenant, config.drr_quantum));
   return std::unique_ptr<Service>(
       new Service(std::move(config), machine.take()));
 }
@@ -112,14 +141,7 @@ Status Service::configure_tenant(std::string_view name,
     return make_error(Errc::kInvalidArgument,
                       "invalid tenant name \"" + std::string(name) + "\"");
   }
-  if (config.weight <= 0.0 || !std::isfinite(config.weight)) {
-    return make_error(Errc::kInvalidArgument,
-                      "tenant weight must be positive and finite");
-  }
-  if (config.max_sessions == 0 || config.max_inflight_units == 0) {
-    return make_error(Errc::kInvalidArgument,
-                      "tenant quotas must be at least 1");
-  }
+  ENTK_RETURN_IF_ERROR(check_tenant_config(config, config_.drr_quantum));
   MutexLock lock(registry_mutex_);
   tenant_locked(name).config = config;
   return Status::ok();
@@ -720,7 +742,18 @@ void Service::advance_and_flush() {
       // to open headroom.
       if (flushed_total == 0) stall();
     }
-    if (flushed_total == 0) return;
+    if (flushed_total == 0) {
+      // With nothing in flight no step can bring news, so steps would
+      // only pace the repeats, and a lone tenant short of a whole unit
+      // would wait through them until its pilot's walltime. Run the
+      // repeat that dispatches now.
+      if (inflight_total_ != 0 ||
+          stall_dispatch_round_ == std::numeric_limits<std::size_t>::max()) {
+        return;
+      }
+      stalled_rounds_ = stall_dispatch_round_ - 1;
+      repeat_stalled_rounds();
+    }
   }
 }
 

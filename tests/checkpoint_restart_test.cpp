@@ -12,6 +12,7 @@
 // its golden constant with.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <string>
@@ -283,6 +284,52 @@ TEST(CheckpointRestart, WorkloadRunCrashesAndResumesThroughFrontDoor) {
   EXPECT_NE(mismatch.status().message().find("different workload"),
             std::string::npos)
       << mismatch.status().to_string();
+}
+
+TEST(CheckpointRestart, V2SnapshotResumesThroughFrontDoor) {
+  // tests/data/sal-v2.entkckpt is examples/sal.entk as `entk-run
+  // --checkpoint-dir D --checkpoint-every 2` left it in format v2: the
+  // 2nd of its 4 snapshots. Resumed by a build that writes v3, it must
+  // finish every unit as a run that never stopped does.
+  auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  auto loaded = load_workload(std::string(ENTK_EXAMPLES_DIR) + "/sal.entk");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().to_string();
+  auto spec = resolve_workload(loaded.value(), registry);
+  ASSERT_TRUE(spec.ok()) << spec.status().to_string();
+
+  reset_uid_counters_for_testing();
+  auto baseline = run_workload(spec.value(), registry);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().to_string();
+
+  ckpt::CheckpointedRunOptions options;
+  options.directory = fresh_dir("ckpt_v2_resume");
+  options.resume_path =
+      std::string(ENTK_SOURCE_DIR) + "/tests/data/sal-v2.entkckpt";
+  auto cut = ckpt::read_snapshot_file(options.resume_path);
+  ASSERT_TRUE(cut.ok()) << cut.status().to_string();
+  const auto settled =
+      std::count_if(cut.value().units.begin(), cut.value().units.end(),
+                    [](const ckpt::UnitRecord& unit) { return unit.settled; });
+  EXPECT_GT(settled, 0) << "the cut must follow some settled units";
+  EXPECT_LT(static_cast<std::size_t>(settled), baseline.value().units.size())
+      << "the cut must leave work to resume";
+
+  reset_uid_counters_for_testing();
+  auto resumed =
+      ckpt::run_workload_with_checkpoints(spec.value(), registry, options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().to_string();
+  EXPECT_FALSE(resumed.value().checkpoint_stop);
+  EXPECT_TRUE(resumed.value().report.outcome.is_ok())
+      << resumed.value().report.outcome.to_string();
+
+  const auto& want = baseline.value().units;
+  const auto& got = resumed.value().report.units;
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i]->uid(), want[i]->uid());
+    EXPECT_EQ(got[i]->state(), want[i]->state()) << want[i]->uid();
+  }
+  EXPECT_EQ(scale_test::trace_digest(got), scale_test::trace_digest(want));
 }
 
 TEST(CheckpointRestart, RefusedResumeLeavesTheCoordinatorIdle) {

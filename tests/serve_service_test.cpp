@@ -127,6 +127,31 @@ TEST(ServeService, SubmitValidatesSpecAndTenant) {
   service.value()->run();
 }
 
+TEST(ServeService, TenantWeightTooSmallToBankAUnitIsRejected) {
+  // A tenant banks at most weight x drr_quantum x 4 credit and a flush
+  // dispatches whole units of it, so below 1 it would never dispatch.
+  TenantConfig tiny;
+  tiny.weight = 0.01;  // 0.01 x 8 x 4 = 0.32
+  ServiceConfig tiny_default;
+  tiny_default.default_tenant = tiny;
+  EXPECT_EQ(Service::create(tiny_default).status().code(),
+            Errc::kInvalidArgument);
+  Driven driven(ServiceConfig{});  // drr_quantum 8
+  EXPECT_EQ(driven.service->configure_tenant("tiny", tiny).code(),
+            Errc::kInvalidArgument);
+  TenantConfig floor;
+  floor.weight = 1.0 / 32;  // 1/32 x 8 x 4 = 1.0
+  ASSERT_TRUE(driven.service->configure_tenant("floor", floor).is_ok());
+  auto id = driven.service->submit("floor", bag_spec(4));
+  ASSERT_TRUE(id.ok()) << id.status().to_string();
+  driven.service->drain();
+  auto status = driven.service->status(id.value());
+  ASSERT_TRUE(status.ok());
+  EXPECT_EQ(status.value().state, WorkloadState::kDone)
+      << status.value().outcome.to_string();
+  EXPECT_EQ(status.value().units_done, 4u);
+}
+
 // ---------------------------------------------------------------------
 // Lifecycle and cancellation
 // ---------------------------------------------------------------------
