@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
@@ -14,6 +13,12 @@ namespace entk {
 namespace detail {
 struct PrefixCounter {
   std::atomic<std::uint64_t> next{0};
+  // Guarded by the writer lock:
+  /// Set once next_uid() or a process handle draws from it: it then
+  /// lives as long as the process.
+  bool for_process = false;
+  /// UidSource handles on it.
+  std::size_t handles = 0;
 };
 }  // namespace detail
 
@@ -21,29 +26,22 @@ namespace {
 
 SharedMutex g_mutex{LockRank::kUidRegistry};
 
-// Counters are heap-allocated and never erased, so a PrefixCounter*
-// obtained under the reader lock stays valid for the process lifetime;
-// reset_uid_counters_for_testing zeroes them in place instead of
-// clearing the map. Leaked deliberately (function-local static with no
-// destructor ordering hazards at exit).
-using CounterMap =
-    std::unordered_map<std::string, std::unique_ptr<detail::PrefixCounter>>;
+// Counters live in the map's nodes, which never move, and are erased
+// only under the writer lock, when the last handle on a counter no
+// process user drew from goes; so a handle's PrefixCounter* stays valid
+// for as long as the handle. reset_uid_counters_for_testing zeroes them
+// in place instead of clearing the map. Leaked deliberately
+// (function-local static with no destructor ordering hazards at exit).
+using CounterMap = std::unordered_map<std::string, detail::PrefixCounter>;
 
 CounterMap& counters() ENTK_REQUIRES_SHARED(g_mutex) {
   static CounterMap* instance = new CounterMap();
   return *instance;
 }
 
-detail::PrefixCounter* find_counter(const std::string& prefix) {
-  {
-    SharedReaderLock lock(g_mutex);
-    const auto it = counters().find(prefix);
-    if (it != counters().end()) return it->second.get();
-  }
-  SharedMutexLock lock(g_mutex);
-  auto& slot = counters()[prefix];
-  if (slot == nullptr) slot = std::make_unique<detail::PrefixCounter>();
-  return slot.get();
+detail::PrefixCounter& counter_locked(const std::string& prefix)
+    ENTK_REQUIRES(g_mutex) {
+  return counters()[prefix];
 }
 
 /// "<prefix>.<value>", the value zero-padded to at least six digits
@@ -66,13 +64,38 @@ std::string format_uid(const std::string& prefix, std::uint64_t value) {
 }  // namespace
 
 std::string next_uid(const std::string& prefix) {
-  detail::PrefixCounter* counter = find_counter(prefix);
-  return format_uid(
-      prefix, counter->next.fetch_add(1, std::memory_order_relaxed));
+  std::uint64_t value = 0;
+  {
+    SharedMutexLock lock(g_mutex);
+    detail::PrefixCounter& counter = counter_locked(prefix);
+    counter.for_process = true;
+    value = counter.next.fetch_add(1, std::memory_order_relaxed);
+  }
+  return format_uid(prefix, value);
 }
 
-UidSource::UidSource(std::string prefix)
-    : prefix_(std::move(prefix)), counter_(find_counter(prefix_)) {}
+UidSource::UidSource(std::string prefix) : UidSource(std::move(prefix), true) {}
+
+UidSource UidSource::session_family(const std::string& session,
+                                    const char* kind) {
+  if (session.empty()) return UidSource(kind, true);
+  return UidSource(session + "." + kind, false);
+}
+
+UidSource::UidSource(std::string prefix, bool for_process)
+    : prefix_(std::move(prefix)) {
+  SharedMutexLock lock(g_mutex);
+  detail::PrefixCounter& counter = counter_locked(prefix_);
+  ++counter.handles;
+  counter.for_process |= for_process;
+  counter_ = &counter;
+}
+
+UidSource::~UidSource() {
+  SharedMutexLock lock(g_mutex);
+  if (--counter_->handles > 0 || counter_->for_process) return;
+  counters().erase(prefix_);
+}
 
 std::string UidSource::next() const {
   return format_uid(
@@ -82,7 +105,7 @@ std::string UidSource::next() const {
 void reset_uid_counters_for_testing() {
   SharedMutexLock lock(g_mutex);
   for (auto& [prefix, counter] : counters()) {
-    counter->next.store(0, std::memory_order_relaxed);
+    counter.next.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -93,7 +116,7 @@ void reset_uid_counters_with_prefix(const std::string& family) {
     if (prefix != family && prefix.compare(0, dotted.size(), dotted) != 0) {
       continue;
     }
-    counter->next.store(0, std::memory_order_relaxed);
+    counter.next.store(0, std::memory_order_relaxed);
   }
 }
 
@@ -103,7 +126,7 @@ std::vector<std::pair<std::string, std::uint64_t>> snapshot_uid_counters() {
     SharedReaderLock lock(g_mutex);
     out.reserve(counters().size());
     for (const auto& [prefix, counter] : counters()) {
-      out.emplace_back(prefix, counter->next.load(std::memory_order_relaxed));
+      out.emplace_back(prefix, counter.next.load(std::memory_order_relaxed));
     }
   }
   std::sort(out.begin(), out.end());
@@ -114,9 +137,7 @@ void restore_uid_counters(
     const std::vector<std::pair<std::string, std::uint64_t>>& snapshot) {
   SharedMutexLock lock(g_mutex);
   for (const auto& [prefix, value] : snapshot) {
-    auto& slot = counters()[prefix];
-    if (slot == nullptr) slot = std::make_unique<detail::PrefixCounter>();
-    slot->next.store(value, std::memory_order_relaxed);
+    counter_locked(prefix).next.store(value, std::memory_order_relaxed);
   }
 }
 

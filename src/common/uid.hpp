@@ -3,12 +3,12 @@
 // Every task, unit, pilot and pattern instance gets a uid of the
 // form "<prefix>.<counter>" (e.g. "unit.000042"), matching the naming
 // scheme of the original toolkit's profiler output. Counters are
-// per-prefix and process-global; generation is thread-safe.
+// per-prefix and process-global; generation is thread-safe. A named
+// session's families go when the session does (see UidSource).
 //
-// The hot path is lock-free after the first use of a prefix: each
-// prefix owns one atomic counter, found through a reader-locked hash
-// lookup (or held directly via a UidSource handle), so concurrent
-// unit creation no longer serializes on one global mutex.
+// The hot path is lock-free: each prefix owns one atomic counter, held
+// directly by a UidSource handle, so concurrent unit creation does not
+// serialize on the registry mutex (next_uid() takes it per call).
 #pragma once
 
 #include <cstdint>
@@ -31,16 +31,32 @@ std::string next_uid(const std::string& prefix);
 /// no lock, no map lookup, no per-call prefix copy. Shares the same
 /// process-global counter as next_uid(prefix), and stays valid across
 /// the resets below (which zero counters in place).
+///
+/// A handle holds its prefix's counter. A counter that next_uid() or a
+/// process handle ever drew from lives as long as the process; one that
+/// only session handles drew from is dropped with the last handle, and
+/// the next user of the prefix starts again at 0.
 class UidSource {
  public:
+  /// A process handle on `prefix`.
   explicit UidSource(std::string prefix);
+  /// Session `session`'s `kind` family ("unit", "pilot"):
+  /// "<session>.<kind>", held while a handle on it lives. The unnamed
+  /// session "" draws from the bare process-wide `kind` family.
+  static UidSource session_family(const std::string& session,
+                                  const char* kind);
+  ~UidSource();
+  UidSource(const UidSource&) = delete;
+  UidSource& operator=(const UidSource&) = delete;
 
-  /// Thread-safe; uids are globally unique for the prefix.
+  /// Thread-safe; uids are unique for the prefix while it lives.
   std::string next() const;
 
   const std::string& prefix() const { return prefix_; }
 
  private:
+  UidSource(std::string prefix, bool for_process);
+
   std::string prefix_;
   detail::PrefixCounter* counter_;
 };

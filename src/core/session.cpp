@@ -15,6 +15,8 @@ Session::Session(Runtime& runtime, SessionOptions options)
     : runtime_(runtime),
       name_(std::move(options.name)),
       trace_ordinal_(obs::session_ordinal(name_)),
+      unit_uids_(UidSource::session_family(name_, "unit")),
+      pilot_uids_(UidSource::session_family(name_, "pilot")),
       options_(std::move(options.resources)) {
   ENTK_CHECK(options_.cores >= 1, "session needs >= 1 core");
   ENTK_CHECK(options_.n_pilots >= 1, "session needs >= 1 pilot");
@@ -29,14 +31,16 @@ Session::~Session() {
   // die (its gate close detaches the remaining pilot/timer callbacks).
   // Destroying with units in flight used to race agent callbacks
   // against member destruction.
-  if (unit_manager_ == nullptr) return;
-  obs::ScopedTraceClock trace_clock(backend().clock());
-  if (active_run_ != nullptr) {
-    (void)finish_run(make_error(Errc::kCancelled,
-                                "session destroyed with a run in flight"));
+  if (unit_manager_ != nullptr) {
+    obs::ScopedTraceClock trace_clock(backend().clock());
+    if (active_run_ != nullptr) {
+      (void)finish_run(make_error(Errc::kCancelled,
+                                  "session destroyed with a run in flight"));
+    }
+    (void)unit_manager_->drain();
+    unit_manager_.reset();
   }
-  (void)unit_manager_->drain();
-  unit_manager_.reset();
+  obs::release_session_ordinal(trace_ordinal_);
 }
 
 pilot::ExecutionBackend& Session::backend() const {
@@ -89,7 +93,7 @@ Status Session::allocate() {
     description.project = options_.project;
     description.session = name_;
     auto submitted = runtime_.pilot_manager().submit_pilot(
-        description, options_.scheduler_policy);
+        description, options_.scheduler_policy, &pilot_uids_);
     if (!submitted.ok()) return submitted.status();
     unit_manager_->add_pilot(submitted.value());
     if (options_.restart_failed_pilots) {
@@ -108,9 +112,9 @@ Status Session::allocate() {
 }
 
 void Session::watch_for_restart(const pilot::PilotPtr& held) {
-  // The pilot outlives this session (it is shared with the Runtime's
-  // PilotManager), so the hook must not keep the session alive nor
-  // touch it after destruction.
+  // The pilot may outlive this session (a caller may still hold it),
+  // so the hook must not keep the session alive nor touch it after
+  // destruction.
   std::weak_ptr<Session> weak = weak_from_this();
   held->on_state_change([weak](pilot::Pilot& failed,
                                pilot::PilotState state) {
@@ -127,7 +131,7 @@ void Session::watch_for_restart(const pilot::PilotPtr& held) {
     // order), so the stranded units are already back in its queue and
     // rebind to the replacement the moment it becomes active.
     auto replacement = self->runtime_.pilot_manager().resubmit_like(
-        failed, self->options_.scheduler_policy);
+        failed, self->options_.scheduler_policy, &self->pilot_uids_);
     if (!replacement.ok()) {
       ENTK_WARN("core.session") << "replacement for " << failed.uid()
                                 << " failed: "
@@ -298,10 +302,11 @@ Status Session::deallocate() {
     const Status status = runtime_.pilot_manager().deallocate(held);
     if (!status.is_ok() && first_error.is_ok()) first_error = status;
   }
+  // The pilots go with their last holder, this session's manager: the
+  // gate close inside its destructor detaches every callback still
+  // registered on timers before the members go away, and each SimAgent
+  // cancels its own pending engine events.
   pilots_.clear();
-  // The gate close inside the manager's destructor detaches every
-  // callback still registered on (now dead) pilots and timers before
-  // the members go away.
   unit_manager_.reset();
   return first_error;
 }

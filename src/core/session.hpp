@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/mutex.hpp"
+#include "common/uid.hpp"
 #include "core/execution_plugin.hpp"
 #include "core/overheads.hpp"
 #include "core/pattern.hpp"
@@ -208,13 +209,18 @@ class Session : public std::enable_shared_from_this<Session> {
 
   /// Arms the pilot-restart hook: when `held` fails and the restart
   /// budget allows, submits a replacement with the same description.
-  /// The callback outlives this session (pilots live in the shared
-  /// PilotManager), so it holds a weak_ptr and no-ops after teardown.
+  /// The callback may outlive this session (whoever holds the pilot
+  /// keeps it), so it holds a weak_ptr and no-ops after teardown.
   void watch_for_restart(const pilot::PilotPtr& held);
 
   Runtime& runtime_;
   const std::string name_;
+  /// Released on destruction (obs::release_session_ordinal).
   const std::uint32_t trace_ordinal_;
+  /// Its uid families, held for the session's life: a named session's
+  /// go with the last session that draws from them.
+  const UidSource unit_uids_;
+  const UidSource pilot_uids_;
   ResourceOptions options_;
 
   std::unique_ptr<pilot::UnitManager> unit_manager_;

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <map>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -60,6 +61,24 @@ void append_common(std::ostringstream& out, const TraceEvent& event) {
       << ",\"ts\":" << format_ts(event.time);
 }
 
+/// Closes a begin or instant event, naming its session in `args` so a
+/// span can be traced back to the workload that ran it. `labels`
+/// caches the session names.
+void close_with_session(std::ostringstream& out, const TraceEvent& event,
+                        std::map<std::uint32_t, std::string>& labels) {
+  if (event.session != 0) {
+    auto it = labels.find(event.session);
+    if (it == labels.end()) {
+      it = labels.emplace(event.session, session_label(event.session)).first;
+    }
+    if (!it->second.empty()) {
+      out << ",\"args\":{\"session\":\"" << json_escape(it->second.c_str())
+          << "\"}";
+    }
+  }
+  out << "}";
+}
+
 }  // namespace
 
 std::string to_chrome_trace(const std::vector<TraceEvent>& events) {
@@ -92,6 +111,7 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events) {
   }
 
   std::set<std::uint64_t> seen_flows;
+  std::map<std::uint32_t, std::string> labels;
   for (const TraceEvent& event : events) {
     out << separator;
     separator = ",\n";
@@ -104,10 +124,14 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events) {
           // they live on per-flow async tracks, not the thread stack.
           out << "{\"ph\":\"" << (begin ? 'b' : 'e') << "\",";
           append_common(out, event);
-          out << ",\"id\":" << format_id(event.flow_id) << "}";
+          out << ",\"id\":" << format_id(event.flow_id);
         } else {
           out << "{\"ph\":\"" << (begin ? 'B' : 'E') << "\",";
           append_common(out, event);
+        }
+        if (begin) {
+          close_with_session(out, event, labels);
+        } else {
           out << "}";
         }
         break;
@@ -115,7 +139,7 @@ std::string to_chrome_trace(const std::vector<TraceEvent>& events) {
       case TraceKind::kInstant:
         out << "{\"ph\":\"i\",\"s\":\"t\",";
         append_common(out, event);
-        out << "}";
+        close_with_session(out, event, labels);
         break;
       case TraceKind::kCounter:
         out << "{\"ph\":\"C\",";

@@ -42,18 +42,25 @@ namespace {
 
 // Session-name interning. Leaky for the same reason as the recorder:
 // labels may be resolved during static teardown by exporters. A
-// long-running entk-serve interns one name per workload it ever ran,
-// so lookups hash instead of scanning.
+// long-running entk-serve interns one name per workload it runs, so
+// lookups hash instead of scanning, and a name nothing recorded under
+// goes with its last user.
 Mutex& session_registry_mutex() {
   static Mutex* const mutex = new Mutex(LockRank::kSessionRegistry);
   return *mutex;
 }
 
 struct SessionRegistry {
-  /// names[ordinal - 1] is the label of `ordinal`. A deque never moves
-  /// its elements, so the map's keys can view them.
-  std::deque<std::string> names;
+  struct Entry {
+    std::string name;  ///< "" while the ordinal is free.
+    std::uint32_t users = 0;
+  };
+  /// entries[ordinal - 1] belongs to `ordinal`. A deque never moves
+  /// its elements, so the map's keys can view their names.
+  std::deque<Entry> entries;
   std::unordered_map<std::string_view, std::uint32_t> ordinals;
+  /// Ordinals whose names were dropped, reused before new ones.
+  std::vector<std::uint32_t> free;
 };
 
 SessionRegistry& session_registry() {
@@ -68,19 +75,43 @@ std::uint32_t session_ordinal(std::string_view name) {
   MutexLock lock(session_registry_mutex());
   SessionRegistry& registry = session_registry();
   const auto it = registry.ordinals.find(name);
-  if (it != registry.ordinals.end()) return it->second;
-  registry.names.emplace_back(name);
-  const auto ordinal = static_cast<std::uint32_t>(registry.names.size());
-  registry.ordinals.emplace(registry.names.back(), ordinal);
+  if (it != registry.ordinals.end()) {
+    ++registry.entries[it->second - 1].users;
+    return it->second;
+  }
+  std::uint32_t ordinal = 0;
+  if (registry.free.empty()) {
+    registry.entries.emplace_back();
+    ordinal = static_cast<std::uint32_t>(registry.entries.size());
+  } else {
+    ordinal = registry.free.back();
+    registry.free.pop_back();
+  }
+  SessionRegistry::Entry& entry = registry.entries[ordinal - 1];
+  entry.name = name;
+  entry.users = 1;
+  registry.ordinals.emplace(entry.name, ordinal);
   return ordinal;
+}
+
+void release_session_ordinal(std::uint32_t ordinal) {
+  if (ordinal == 0) return;
+  MutexLock lock(session_registry_mutex());
+  SessionRegistry& registry = session_registry();
+  SessionRegistry::Entry& entry = registry.entries[ordinal - 1];
+  if (--entry.users > 0 || TraceRecorder::instance().ever_enabled()) return;
+  registry.ordinals.erase(entry.name);
+  entry.name.clear();
+  registry.free.push_back(ordinal);
 }
 
 std::string session_label(std::uint32_t ordinal) {
   if (ordinal == 0) return std::string();
   MutexLock lock(session_registry_mutex());
-  const std::deque<std::string>& names = session_registry().names;
-  if (ordinal > names.size()) return std::string();
-  return names[ordinal - 1];
+  const std::deque<SessionRegistry::Entry>& entries =
+      session_registry().entries;
+  if (ordinal > entries.size()) return std::string();
+  return entries[ordinal - 1].name;
 }
 
 /// One thread's ring of event slabs. Only the owning thread writes;

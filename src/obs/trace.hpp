@@ -63,9 +63,17 @@ std::uint64_t trace_flow_id(std::string_view uid);
 std::uint32_t next_pilot_ordinal();
 
 /// Interns a session name and returns its process-wide 1-based trace
-/// ordinal; the same name always maps to the same ordinal. The empty
-/// name (legacy single-session runs) maps to ordinal 0.
+/// ordinal; the same name maps to the same ordinal while it is
+/// interned. Each call counts one user of the name, which
+/// release_session_ordinal() gives back. The empty name (legacy
+/// single-session runs) maps to ordinal 0.
 std::uint32_t session_ordinal(std::string_view name);
+
+/// Gives back one user of `ordinal`. A name whose last user goes is
+/// dropped, and its ordinal reused, unless the recorder was ever
+/// enabled in this process: recorded events may still be exported
+/// under the name. Ordinal 0 is ignored.
+void release_session_ordinal(std::uint32_t ordinal);
 
 /// Name interned for `ordinal`; "" for ordinal 0 or unknown ordinals.
 std::string session_label(std::uint32_t ordinal);
@@ -85,10 +93,15 @@ class TraceRecorder {
   /// Master switch; off by default. Checked with a relaxed load on
   /// every record, so toggling costs nothing on the hot path.
   void set_enabled(bool on) {
+    if (on) ever_enabled_.store(true, std::memory_order_relaxed);
     enabled_.store(on, std::memory_order_relaxed);
   }
   bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
+  }
+  /// Whether recording was ever switched on in this process.
+  bool ever_enabled() const {
+    return ever_enabled_.load(std::memory_order_relaxed);
   }
 
   /// Installs timestamp source `clock` (nullptr = the built-in wall
@@ -144,6 +157,7 @@ class TraceRecorder {
   ThreadBuffer& register_thread() ENTK_EXCLUDES(mutex_);
 
   std::atomic<bool> enabled_{false};
+  std::atomic<bool> ever_enabled_{false};
   std::atomic<const Clock*> clock_{nullptr};
   WallClock fallback_clock_;
   /// Bumped by clear()/set_capacity_per_thread(); threads re-register

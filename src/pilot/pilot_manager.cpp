@@ -9,7 +9,8 @@ namespace entk::pilot {
 PilotManager::PilotManager(ExecutionBackend& backend) : backend_(backend) {}
 
 Result<PilotPtr> PilotManager::submit_pilot(
-    PilotDescription description, const std::string& scheduler_policy) {
+    PilotDescription description, const std::string& scheduler_policy,
+    const UidSource* uids) {
   ENTK_RETURN_IF_ERROR(description.validate());
   const auto& machine = backend_.machine();
   if (description.resource != machine.name) {
@@ -33,12 +34,17 @@ Result<PilotPtr> PilotManager::submit_pilot(
   // counters, so each session's pilot uids match its solo run.
   // resubmit_like() reuses the finished pilot's description, session
   // included, so replacements stay in the owner's family.
-  const std::string prefix = description.session.empty()
-                                 ? "pilot"
-                                 : description.session + ".pilot";
-  // prefix is already the owning session's pilot uid family.
-  // entk-lint: allow(global-run-state)
-  auto pilot = std::make_shared<Pilot>(next_uid(prefix), description,
+  std::string uid;
+  if (uids != nullptr) {
+    uid = uids->next();
+  } else {
+    // The owning session's pilot uid family.
+    // entk-lint: allow(global-run-state)
+    uid = next_uid(description.session.empty()
+                       ? "pilot"
+                       : description.session + ".pilot");
+  }
+  auto pilot = std::make_shared<Pilot>(std::move(uid), description,
                                        backend_.clock());
   pilot->attach_agent(agent.take());
 
@@ -56,7 +62,8 @@ Result<PilotPtr> PilotManager::submit_pilot(
     // The pilot is Active only once its agent bootstrapped.
     held->agent()->start([weak] {
       auto ready = weak.lock();
-      if (!ready) return;
+      // Cancelled, or out of walltime, while its agent bootstrapped.
+      if (!ready || is_final(ready->state())) return;
       ENTK_CHECK(ready->advance_state(PilotState::kActive).is_ok(),
                  "pilot became active twice");
     });
@@ -82,7 +89,6 @@ Result<PilotPtr> PilotManager::submit_pilot(
   auto container = backend_.submit_container(std::move(request));
   if (!container.ok()) return container.status();
   pilot->attach_container(container.value());
-  pilots_.push_back(pilot);
   ENTK_INFO("pilot.manager") << pilot->uid() << " submitted to "
                              << backend_.name() << " ("
                              << description.cores << " cores)";
@@ -114,7 +120,8 @@ Status PilotManager::deallocate(const PilotPtr& pilot) {
 }
 
 Result<PilotPtr> PilotManager::resubmit_like(
-    const Pilot& finished, const std::string& scheduler_policy) {
+    const Pilot& finished, const std::string& scheduler_policy,
+    const UidSource* uids) {
   if (!is_final(finished.state())) {
     return make_error(Errc::kFailedPrecondition,
                       "pilot " + finished.uid() + " is " +
@@ -123,7 +130,7 @@ Result<PilotPtr> PilotManager::resubmit_like(
   }
   ENTK_INFO("pilot.manager") << "resubmitting a replacement for "
                              << finished.uid();
-  return submit_pilot(finished.description(), scheduler_policy);
+  return submit_pilot(finished.description(), scheduler_policy, uids);
 }
 
 Status PilotManager::cancel(const PilotPtr& pilot) {

@@ -2,15 +2,17 @@
 // (the RP PilotManager analogue).
 #pragma once
 
-#include <mutex>
 #include <string>
-#include <vector>
 
+#include "common/uid.hpp"
 #include "pilot/backend.hpp"
 #include "pilot/pilot.hpp"
 
 namespace entk::pilot {
 
+/// Keeps no pilot: a pilot, and the agent inside it, live as long as
+/// their holders (the session that allocated them, its unit manager)
+/// and no longer.
 class PilotManager {
  public:
   explicit PilotManager(ExecutionBackend& backend);
@@ -19,10 +21,13 @@ class PilotManager {
   /// the container job and wires the agent to start when the job runs.
   /// The returned pilot is kPendingQueue, or already kActive when the
   /// backend started its container at once (the local backend does
-  /// when cores are free).
+  /// when cores are free). Its uid comes from `uids`, the owning
+  /// session's pilot family; without one, from the description's
+  /// session family for the life of the process.
   Result<PilotPtr> submit_pilot(PilotDescription description,
                                 const std::string& scheduler_policy =
-                                    "backfill");
+                                    "backfill",
+                                const UidSource* uids = nullptr);
 
   /// Drives the backend until the pilot is active (or failed).
   Status wait_active(const PilotPtr& pilot,
@@ -42,7 +47,8 @@ class PilotManager {
   /// replacement via the UnitManager's late binding.
   Result<PilotPtr> resubmit_like(const Pilot& finished,
                                  const std::string& scheduler_policy =
-                                     "backfill");
+                                     "backfill",
+                                 const UidSource* uids = nullptr);
 
   ExecutionBackend& backend() { return backend_; }
 
@@ -52,12 +58,6 @@ class PilotManager {
   // thread (Runtime::run_concurrent drives all sessions on one
   // thread); agent worker threads never touch the manager.
   ExecutionBackend& backend_;
-  /// Every pilot submitted, never pruned and never read: it keeps each
-  /// pilot, and so its agent, alive for the manager's lifetime.
-  /// SimAgent's engine events capture the agent's `this`, so a pilot
-  /// dropped here while the engine may still fire them would leave
-  /// those events pointing at a destroyed agent.
-  std::vector<PilotPtr> pilots_;
 };
 
 }  // namespace entk::pilot

@@ -42,28 +42,39 @@ SimAgent::SimAgent(sim::Engine& engine, sim::MachineProfile machine,
   ENTK_CHECK(scheduler_ != nullptr, "agent needs a scheduler");
 }
 
+SimAgent::~SimAgent() {
+  (void)engine_.cancel(bootstrap_event_);
+  for (const Slot& slot : slots_) {
+    for (std::uint8_t i = 0; i < slot.events.count; ++i) {
+      (void)engine_.cancel(slot.events.entries[i].id);
+    }
+  }
+  if (fault_consumer_ != sim::FaultModel::kNoConsumer) {
+    faults_->unwatch(fault_consumer_);
+  }
+}
+
 void SimAgent::start(std::function<void()> on_ready) {
   ENTK_CHECK(!start_requested_, "agent started twice");
   start_requested_ = true;
   // Agent bootstrap: units submitted in the meantime queue up.
-  engine_.schedule(machine_.pilot_bootstrap,
-                   [this, on_ready = std::move(on_ready)] {
-                     started_ = true;
-                     spawner_free_at_.assign(
-                         static_cast<std::size_t>(
-                             std::max<Count>(machine_.spawner_concurrency,
-                                             1)),
-                         engine_.now());
-                     if (faults_ != nullptr) {
-                       const Count nodes =
-                           (initial_cores_ + machine_.cores_per_node - 1) /
-                           machine_.cores_per_node;
-                       faults_->watch_nodes(
-                           nodes, [this] { handle_node_failure(); });
-                     }
-                     if (on_ready) on_ready();
-                     schedule_loop();
-                   });
+  bootstrap_event_ = engine_.schedule(
+      machine_.pilot_bootstrap, [this, on_ready = std::move(on_ready)] {
+        started_ = true;
+        spawner_free_at_.assign(
+            static_cast<std::size_t>(
+                std::max<Count>(machine_.spawner_concurrency, 1)),
+            engine_.now());
+        if (faults_ != nullptr) {
+          const Count nodes =
+              (initial_cores_ + machine_.cores_per_node - 1) /
+              machine_.cores_per_node;
+          fault_consumer_ =
+              faults_->watch_nodes(nodes, [this] { handle_node_failure(); });
+        }
+        if (on_ready) on_ready();
+        schedule_loop();
+      });
 }
 
 Status SimAgent::submit(std::vector<ComputeUnitPtr> units) {
@@ -101,8 +112,8 @@ void SimAgent::cancel_waiting() {
     (void)unit->advance_state(UnitState::kCanceled);
   }
   // Checked after the cancellations: their observers may have routed
-  // new work here. Agents live as long as their pilot manager, so a
-  // finished pilot must not keep a slot table sized for its peak.
+  // new work here. A finished pilot need not keep a slot table sized
+  // for its peak while its holders keep it.
   if (running_units() == 0) {
     std::vector<Slot>().swap(slots_);
     std::vector<std::size_t>().swap(free_slots_);

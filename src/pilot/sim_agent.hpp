@@ -53,6 +53,11 @@ class SimAgent final : public Agent {
   SimAgent(sim::Engine& engine, sim::MachineProfile machine, Count cores,
            std::unique_ptr<Scheduler> scheduler,
            sim::FaultModel* faults = nullptr);
+  /// Cancels the engine events still pending for it (its bootstrap and
+  /// its units' lifecycle events) and detaches its node-failure
+  /// handler, so nothing the engine or the fault model holds can reach
+  /// a destroyed agent. The engine and the fault model must outlive it.
+  ~SimAgent() override;
 
   void start(std::function<void()> on_ready) override;
   Status submit(std::vector<ComputeUnitPtr> units) override;
@@ -156,6 +161,10 @@ class SimAgent final : public Agent {
 
   bool start_requested_ = false;
   bool started_ = false;  ///< true once the bootstrap delay elapsed
+  sim::EventId bootstrap_event_ = sim::kInvalidEvent;
+  /// Its index in faults_, once bootstrapped on a machine whose nodes
+  /// fail.
+  std::size_t fault_consumer_ = sim::FaultModel::kNoConsumer;
   Count capacity_;  ///< Current cores (shrinks on node failures).
   Count free_;
   WaitingIndex waiting_;

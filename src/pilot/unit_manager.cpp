@@ -13,10 +13,13 @@ UnitManager::UnitManager(ExecutionBackend& backend, std::string session)
     : backend_(backend),
       session_(std::move(session)),
       session_ordinal_(obs::session_ordinal(session_)),
-      unit_uids_(session_.empty() ? "unit" : session_ + ".unit"),
+      unit_uids_(UidSource::session_family(session_, "unit")),
       gate_(std::make_shared<CallbackGate>()) {}
 
-UnitManager::~UnitManager() { gate_->close(); }
+UnitManager::~UnitManager() {
+  gate_->close();
+  obs::release_session_ordinal(session_ordinal_);
+}
 
 void UnitManager::add_pilot(PilotPtr pilot) {
   {
@@ -24,8 +27,8 @@ void UnitManager::add_pilot(PilotPtr pilot) {
     pilots_.push_back(pilot);
   }
   // Flush held units the moment the pilot comes up; recover stranded
-  // units the moment it fails. The pilot outlives this manager (it is
-  // owned by the shared PilotManager), so the callback is gated: after
+  // units the moment it fails. The pilot may outlive this manager
+  // (another holder may keep it), so the callback is gated: after
   // this manager closes the gate, later pilot transitions no-op.
   std::shared_ptr<CallbackGate> gate = gate_;
   pilot->on_state_change(

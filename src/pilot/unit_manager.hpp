@@ -33,8 +33,8 @@ namespace entk::pilot {
 
 /// Rundown protection for callbacks whose registrant may die first.
 ///
-/// Objects the UnitManager does not own call back into it: pilots live
-/// on in the shared PilotManager after a session is torn down,
+/// Objects the UnitManager does not own call back into it: pilots may
+/// live on with another holder after a session is torn down,
 /// retry-backoff timers live in the backend's engine, and the units it
 /// creates (held by agents, patterns and reports) call in after every
 /// transition. Each such caller holds a shared_ptr to its manager's gate

@@ -20,11 +20,13 @@ constexpr double kDeficitCapRounds = 4.0;
 
 obs::Metrics& metrics() { return obs::Metrics::instance(); }
 
-/// Frees a terminal workload's spec: STATUS and RESULTS never read it,
-/// so a served workload keeps none of its sections.
-void release_spec(core::WorkloadSpec& spec) {
-  core::WorkloadSpec empty;
-  std::swap(spec, empty);
+/// The session a workload runs under: "serve.<tenant>.<id>".
+std::string session_name(std::string_view tenant, std::uint64_t id) {
+  std::string name = "serve.";
+  name += tenant;
+  name += '.';
+  name += std::to_string(id);
+  return name;
 }
 
 /// The credit one DRR round grants a tenant with `config`.
@@ -178,114 +180,118 @@ Result<std::uint64_t> Service::submit(std::string_view tenant,
   }
 
   metrics().counter(obs::WellKnownCounter::kServeSubmitted).add();
-  std::shared_ptr<Workload> workload;
+  std::uint64_t id = 0;
   {
     MutexLock lock(mailbox_mutex_);
     if (shutdown_) {
       return make_error(Errc::kCancelled, "service is shutting down");
     }
     MutexLock registry(registry_mutex_);
-    TenantStats& owner = tenant_locked(tenant).tally;
-    ++owner.submitted;
+    Tenant& owner = tenant_locked(tenant);
+    ++owner.tally.submitted;
     if (queue_.size() >= config_.queue_capacity) {
-      ++owner.rejected;
+      ++owner.tally.rejected;
       metrics().counter(obs::WellKnownCounter::kServeRejected).add();
       return make_error(Errc::kResourceExhausted,
                         "admission queue is full (capacity " +
                             std::to_string(config_.queue_capacity) + ")");
     }
-    workload = std::make_shared<Workload>();
-    workload->id = next_id_++;
-    workload->tenant = tenant;
-    workload->label = label;
-    workload->session_name = "serve." + std::string(tenant) + "." +
-                             std::to_string(workload->id);
+    Record& record = records_.emplace_back();
+    record.tenant = &owner;
+    record.label = label;
+    id = records_.size();
+    auto workload = std::make_unique<Workload>();
+    workload->id = id;
+    workload->owner = &owner;
     workload->spec = std::move(spec);
     workload->submit_wall = wall_.now();
-    workloads_[workload->id] = workload;
-    ++owner.accepted;
-    ++owner.queued;
-    queue_.push_back(workload);
+    ++owner.tally.accepted;
+    ++owner.tally.queued;
+    queue_.push_back(std::move(workload));
     dirty_ = true;
     mailbox_cv_.notify_all();
   }
   metrics().counter(obs::WellKnownCounter::kServeAccepted).add();
   update_gauges();
-  return workload->id;
+  return id;
 }
 
-WorkloadStatus Service::snapshot_locked(const Workload& workload) const {
+const Service::Record* Service::record_locked(std::uint64_t id) const {
+  if (id == 0 || id > records_.size()) return nullptr;
+  return &records_[id - 1];
+}
+
+Service::Record& Service::record_locked(const Workload& workload) {
+  return records_[workload.id - 1];
+}
+
+WorkloadStatus Service::snapshot_locked(std::uint64_t id,
+                                        const Record& record) const {
   WorkloadStatus status;
-  status.id = workload.id;
-  status.tenant = workload.tenant;
-  status.label = workload.label;
-  status.session = workload.session_name;
-  status.state = workload.state;
-  status.dispatched_units = workload.dispatched_units;
-  if (workload.first_dispatch_wall >= 0.0) {
-    status.submit_latency_seconds =
-        workload.first_dispatch_wall - workload.submit_wall;
-  }
-  status.units_done = workload.units_done;
-  status.units_failed = workload.units_failed;
-  status.units_cancelled = workload.units_cancelled;
-  status.outcome = workload.outcome;
+  status.id = id;
+  status.tenant = record.tenant->name;
+  status.label = record.label;
+  status.session = session_name(record.tenant->name, id);
+  status.state = record.state;
+  status.dispatched_units = record.dispatched_units;
+  status.submit_latency_seconds = record.submit_latency;
+  status.units_done = record.units_done;
+  status.units_failed = record.units_failed;
+  status.units_cancelled = record.units_cancelled;
+  status.outcome = record.outcome;
   return status;
 }
 
 Result<WorkloadStatus> Service::status(std::uint64_t id) const {
   MutexLock lock(registry_mutex_);
-  auto it = workloads_.find(id);
-  if (it == workloads_.end()) {
+  const Record* record = record_locked(id);
+  if (record == nullptr) {
     return make_error(Errc::kNotFound,
                       "no workload with id " + std::to_string(id));
   }
-  return snapshot_locked(*it->second);
+  return snapshot_locked(id, *record);
 }
 
 Result<WorkloadStatus> Service::results(std::uint64_t id) const {
   MutexLock lock(registry_mutex_);
-  auto it = workloads_.find(id);
-  if (it == workloads_.end()) {
+  const Record* record = record_locked(id);
+  if (record == nullptr) {
     return make_error(Errc::kNotFound,
                       "no workload with id " + std::to_string(id));
   }
-  if (!is_terminal(it->second->state)) {
+  if (!is_terminal(record->state)) {
     return make_error(Errc::kFailedPrecondition,
                       "workload " + std::to_string(id) + " is still " +
-                          workload_state_name(it->second->state));
+                          workload_state_name(record->state));
   }
-  return snapshot_locked(*it->second);
+  return snapshot_locked(id, *record);
 }
 
 Status Service::cancel(std::uint64_t id) {
   MutexLock lock(mailbox_mutex_);
   MutexLock registry(registry_mutex_);
-  auto it = workloads_.find(id);
-  if (it == workloads_.end()) {
+  if (id == 0 || id > records_.size()) {
     return make_error(Errc::kNotFound,
                       "no workload with id " + std::to_string(id));
   }
-  Workload& workload = *it->second;
-  if (is_terminal(workload.state)) {
+  Record& record = records_[id - 1];
+  if (is_terminal(record.state)) {
     return make_error(Errc::kFailedPrecondition,
                       "workload " + std::to_string(id) +
                           " already settled (" +
-                          workload_state_name(workload.state) + ")");
+                          workload_state_name(record.state) + ")");
   }
   const auto queued =
       std::find_if(queue_.begin(), queue_.end(),
-                   [id](const std::shared_ptr<Workload>& entry) {
+                   [id](const std::unique_ptr<Workload>& entry) {
                      return entry->id == id;
                    });
   if (queued != queue_.end()) {
     // Never admitted: settle synchronously, no drive-thread state.
+    TenantStats& owner = (*queued)->owner->tally;
     queue_.erase(queued);
-    workload.state = WorkloadState::kCancelled;
-    workload.outcome =
-        make_error(Errc::kCancelled, "cancelled while queued");
-    release_spec(workload.spec);
-    TenantStats& owner = tenant_locked(workload.tenant).tally;
+    record.state = WorkloadState::kCancelled;
+    record.outcome = make_error(Errc::kCancelled, "cancelled while queued");
     if (owner.queued > 0) --owner.queued;
     ++owner.cancelled;
     metrics().counter(obs::WellKnownCounter::kServeCancelled).add();
@@ -393,7 +399,7 @@ void Service::run() {
   }
 
   // Shutdown: shed the queue, abort in-flight runs, settle, report.
-  std::deque<std::shared_ptr<Workload>> queued;
+  std::deque<std::unique_ptr<Workload>> queued;
   {
     MutexLock lock(mailbox_mutex_);
     queued.swap(queue_);
@@ -401,7 +407,7 @@ void Service::run() {
     dirty_ = false;
   }
   for (const auto& workload : queued) {
-    finish_workload(workload, WorkloadState::kCancelled,
+    finish_workload(*workload, WorkloadState::kCancelled,
                     make_error(Errc::kCancelled, "service shut down"),
                     nullptr);
   }
@@ -446,27 +452,27 @@ void Service::process_mailbox() {
     }
   }
   while (auto workload = pop_admissible()) {
-    start_workload(workload);
+    start_workload(std::move(workload));
   }
   update_gauges();
 }
 
-std::shared_ptr<Service::Workload> Service::pop_admissible() {
+std::unique_ptr<Service::Workload> Service::pop_admissible() {
   MutexLock lock(mailbox_mutex_);
   if (active_.size() >= config_.max_active_sessions) return nullptr;
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
-    const std::shared_ptr<Workload>& candidate = *it;
-    bool open = committed_cores_ + candidate->spec.cores <=
+    const Workload& candidate = **it;
+    bool open = committed_cores_ + candidate.spec.cores <=
                 static_cast<Count>(machine_cores_);
     if (open) {
       MutexLock registry(registry_mutex_);
-      const Tenant& owner = tenant_locked(candidate->tenant);
+      const Tenant& owner = *candidate.owner;
       open = owner.tally.active_sessions < owner.config.max_sessions;
     }
     // A closed gate skips this entry, not the whole queue: a narrow
     // workload behind a wide one still admits (no head-of-line block).
     if (!open) continue;
-    std::shared_ptr<Workload> taken = candidate;
+    std::unique_ptr<Workload> taken = std::move(*it);
     queue_.erase(it);
     // Counted as running under the same lock as the pop, so drain()
     // sees the workload as queued or running for as long as
@@ -477,15 +483,16 @@ std::shared_ptr<Service::Workload> Service::pop_admissible() {
   return nullptr;
 }
 
-void Service::start_workload(const std::shared_ptr<Workload>& workload) {
+void Service::start_workload(std::unique_ptr<Workload> workload) {
   const auto fail = [this, &workload](Status status) {
-    finish_workload(workload, WorkloadState::kFailed, std::move(status),
+    finish_workload(*workload, WorkloadState::kFailed, std::move(status),
                     nullptr);
     MutexLock lock(mailbox_mutex_);
     --running_count_;  // taken by pop_admissible()
   };
+  Tenant& owner = *workload->owner;
   core::SessionOptions options;
-  options.name = workload->session_name;
+  options.name = session_name(owner.name, workload->id);
   options.resources.cores = workload->spec.cores;
   options.resources.runtime = workload->spec.runtime;
   options.resources.scheduler_policy = workload->spec.scheduler;
@@ -524,10 +531,10 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
   }
   workload->executor = workload->session->run_executor();
   committed_cores_ += workload->spec.cores;
-  active_.push_back(workload);
   // Units settle only on this thread (inside engine steps, flushes and
   // session teardown), so the observer touches drive-thread state
-  // alone and takes no service lock.
+  // alone and takes no service lock. The session, and the observer
+  // with it, goes before the workload does (finish_workload).
   Workload* raw = workload.get();
   workload->session->unit_manager()->add_settled_observer(
       [this, raw](const pilot::ComputeUnitPtr&, pilot::UnitState) {
@@ -537,26 +544,24 @@ void Service::start_workload(const std::shared_ptr<Workload>& workload) {
   double queue_wait = 0.0;
   {
     MutexLock registry(registry_mutex_);
-    workload->state = WorkloadState::kRunning;
-    workload->start_wall = wall_.now();
-    queue_wait = workload->start_wall - workload->submit_wall;
-    workload->owner = &tenant_locked(workload->tenant);
-    TenantStats& owner = workload->owner->tally;
-    if (owner.queued > 0) --owner.queued;
-    ++owner.active_sessions;
-    owner.peak_active_sessions =
-        std::max(owner.peak_active_sessions, owner.active_sessions);
+    record_locked(*workload).state = WorkloadState::kRunning;
+    queue_wait = wall_.now() - workload->submit_wall;
+    TenantStats& tally = owner.tally;
+    if (tally.queued > 0) --tally.queued;
+    ++tally.active_sessions;
+    tally.peak_active_sessions =
+        std::max(tally.peak_active_sessions, tally.active_sessions);
   }
-  Tenant& owner = *workload->owner;
   if (owner.running.empty()) {
     auto at = running_tenants_.begin();
     while (at != running_tenants_.end() && (*at)->name < owner.name) ++at;
     running_tenants_.insert(at, &owner);
   }
   owner.running.push_back(raw);
+  active_.push_back(std::move(workload));
   // Its first advance materializes the initial frontier; a run the
   // pattern refused is finished already and must wake the predicate.
-  note_news(*workload);
+  note_news(*raw);
   metrics()
       .histogram(obs::WellKnownHistogram::kServeQueueWaitSeconds)
       .observe(queue_wait);
@@ -582,7 +587,7 @@ void Service::fail_active(const Status& verdict) {
     if (workload->session->run_active()) {
       (void)workload->session->finish_run(verdict);
     }
-    finish_workload(workload, WorkloadState::kFailed, verdict, nullptr);
+    finish_workload(*workload, WorkloadState::kFailed, verdict, nullptr);
   }
   active_.clear();
 }
@@ -710,16 +715,16 @@ void Service::advance_and_flush() {
           global_headroom -= flushed;
           owner->deficit -= static_cast<double>(flushed);
           flushed_total += flushed;
-          workload->dispatched_units += flushed;
+          Record& record = record_locked(*workload);
+          record.dispatched_units += flushed;
           owner->tally.dispatched_units += flushed;
           if (contended) owner->tally.contended_dispatched_units += flushed;
-          if (workload->first_dispatch_wall < 0.0) {
-            workload->first_dispatch_wall = wall_.now();
+          if (record.submit_latency < 0.0) {
+            record.submit_latency = wall_.now() - workload->submit_wall;
             metrics()
                 .histogram(
                     obs::WellKnownHistogram::kServeSubmitLatencySeconds)
-                .observe(workload->first_dispatch_wall -
-                         workload->submit_wall);
+                .observe(record.submit_latency);
           }
           metrics()
               .counter(obs::WellKnownCounter::kServeDispatchedUnits)
@@ -779,13 +784,13 @@ void Service::stall() {
 
 void Service::reap_finished() {
   for (auto it = active_.begin(); it != active_.end();) {
-    const std::shared_ptr<Workload>& workload = *it;
-    if (!workload->finished) {
+    Workload& workload = **it;
+    if (!workload.finished) {
       ++it;
       continue;
     }
-    workload->executor = nullptr;
-    auto report = workload->session->finish_run(Status::ok());
+    workload.executor = nullptr;
+    auto report = workload.session->finish_run(Status::ok());
     if (!report.ok()) {
       finish_workload(workload, WorkloadState::kFailed, report.status(),
                       nullptr);
@@ -803,31 +808,34 @@ void Service::reap_finished() {
   update_gauges();
 }
 
-void Service::finish_workload(const std::shared_ptr<Workload>& workload,
-                              WorkloadState state, Status outcome,
+void Service::finish_workload(Workload& workload, WorkloadState state,
+                              Status outcome,
                               const core::RunReport* report) {
-  workload->executor = nullptr;
+  workload.executor = nullptr;
   {
     // Taken off the workload first: units that settle while the session
     // tears down must not put a workload that is leaving on news_.
     const std::shared_ptr<core::Session> session =
-        std::move(workload->session);
+        std::move(workload.session);
     if (session != nullptr) (void)session->deallocate();
   }
-  workload->pattern.reset();
+  workload.pattern.reset();
+  if (workload.news) std::erase(news_, &workload);
 
   WorkloadState previous;
   {
     MutexLock registry(registry_mutex_);
-    previous = workload->state;
-    workload->state = state;
-    workload->outcome = std::move(outcome);
+    Record& record = record_locked(workload);
+    previous = record.state;
+    record.state = state;
+    record.outcome = std::move(outcome);
     if (report != nullptr) {
-      workload->units_done = report->units_done;
-      workload->units_failed = report->units_failed;
-      workload->units_cancelled = report->units_cancelled;
+      record.units_done = static_cast<std::uint32_t>(report->units_done);
+      record.units_failed = static_cast<std::uint32_t>(report->units_failed);
+      record.units_cancelled =
+          static_cast<std::uint32_t>(report->units_cancelled);
     }
-    TenantStats& owner = tenant_locked(workload->tenant).tally;
+    TenantStats& owner = workload.owner->tally;
     if (previous == WorkloadState::kQueued) {
       if (owner.queued > 0) --owner.queued;
     } else if (previous == WorkloadState::kRunning) {
@@ -841,19 +849,17 @@ void Service::finish_workload(const std::shared_ptr<Workload>& workload,
     }
   }
   if (previous == WorkloadState::kRunning) {
-    committed_cores_ -= workload->spec.cores;
-    Tenant& owner = *workload->owner;
-    std::erase(owner.running, workload.get());
+    committed_cores_ -= workload.spec.cores;
+    Tenant& owner = *workload.owner;
+    std::erase(owner.running, &workload);
     if (owner.running.empty()) std::erase(running_tenants_, &owner);
-    owner.inflight -= workload->inflight;
-    inflight_total_ -= workload->inflight;
-    workload->inflight = 0;
-    workload->owner = nullptr;
-    if (std::exchange(workload->finished, false)) --finished_;
+    owner.inflight -= workload.inflight;
+    inflight_total_ -= workload.inflight;
+    workload.inflight = 0;
+    if (std::exchange(workload.finished, false)) --finished_;
     MutexLock lock(mailbox_mutex_);
     if (running_count_ > 0) --running_count_;
   }
-  release_spec(workload->spec);
   switch (state) {
     case WorkloadState::kDone:
       metrics().counter(obs::WellKnownCounter::kServeCompleted).add();

@@ -197,33 +197,38 @@ class Service {
  private:
   struct Tenant;
 
-  /// One submitted workload, queued → running → terminal.
+  /// What STATUS and RESULTS print for one workload, and all a
+  /// terminal workload keeps: records_[id - 1], for the service's
+  /// life. Guarded by registry_mutex_. The session name is rebuilt
+  /// from tenant and id.
+  struct Record {
+    const Tenant* tenant = nullptr;
+    std::string label;
+    Status outcome;  ///< Terminal only; ok() until then.
+    /// Wall seconds from SUBMIT to the first dispatch; < 0 until then.
+    double submit_latency = -1.0;
+    std::uint64_t dispatched_units = 0;
+    // Terminal-only unit tallies.
+    std::uint32_t units_done = 0;
+    std::uint32_t units_failed = 0;
+    std::uint32_t units_cancelled = 0;
+    WorkloadState state = WorkloadState::kQueued;
+  };
+
+  /// One accepted workload on its way through the service: its spec
+  /// while queued, then its session and pattern while running. Lives
+  /// in queue_, then in active_ (the drive thread owns it once it
+  /// leaves the queue), and dies when it is reaped or cancelled.
   struct Workload {
     std::uint64_t id = 0;
-    std::string tenant;
-    std::string label;
-    std::string session_name;
-    /// Emptied once the workload is terminal: STATUS and RESULTS never
-    /// read it.
+    Tenant* owner = nullptr;
     core::WorkloadSpec spec;
-
-    // Guarded by registry_mutex_ (read by client threads).
-    WorkloadState state = WorkloadState::kQueued;
     double submit_wall = 0.0;
-    double start_wall = -1.0;
-    double first_dispatch_wall = -1.0;
-    std::uint64_t dispatched_units = 0;
-    std::size_t units_done = 0;
-    std::size_t units_failed = 0;
-    std::size_t units_cancelled = 0;
-    Status outcome;
 
     // Drive-thread only.
     std::shared_ptr<core::Session> session;
     std::unique_ptr<core::ExecutionPattern> pattern;
     core::GraphExecutor* executor = nullptr;
-    /// Set while running.
-    Tenant* owner = nullptr;
     /// Its session's unsettled units, as read after its last news or
     /// flush.
     std::size_t inflight = 0;
@@ -249,14 +254,20 @@ class Service {
 
   Tenant& tenant_locked(std::string_view name)
       ENTK_REQUIRES(registry_mutex_);
-  WorkloadStatus snapshot_locked(const Workload& workload) const
+  /// The record of workload `id`; nullptr for an id never issued.
+  const Record* record_locked(std::uint64_t id) const
+      ENTK_REQUIRES(registry_mutex_);
+  /// The record of a workload this service holds.
+  Record& record_locked(const Workload& workload)
+      ENTK_REQUIRES(registry_mutex_);
+  WorkloadStatus snapshot_locked(std::uint64_t id, const Record& record) const
       ENTK_REQUIRES(registry_mutex_);
 
   // Drive-loop stages (drive thread only).
   void process_mailbox();
-  std::shared_ptr<Workload> pop_admissible()
+  std::unique_ptr<Workload> pop_admissible()
       ENTK_EXCLUDES(mailbox_mutex_, registry_mutex_);
-  void start_workload(const std::shared_ptr<Workload>& workload);
+  void start_workload(std::unique_ptr<Workload> workload);
   void drive_active();
   /// The fair-share heart: advance the running graphs with news, then
   /// flush ready nodes per tenant in weighted DRR quanta, bounded by
@@ -279,9 +290,10 @@ class Service {
   /// Fails every running workload with `verdict` (a drive that could
   /// not settle them).
   void fail_active(const Status& verdict);
-  void finish_workload(const std::shared_ptr<Workload>& workload,
-                       WorkloadState state, Status outcome,
-                       const core::RunReport* report);
+  /// Ends a workload's session and records its terminal state; the
+  /// caller then drops the workload.
+  void finish_workload(Workload& workload, WorkloadState state,
+                       Status outcome, const core::RunReport* report);
   void update_gauges() ENTK_EXCLUDES(mailbox_mutex_);
   /// Lock-free: the drive predicate calls it after every engine step.
   bool mailbox_dirty() const;
@@ -298,7 +310,7 @@ class Service {
   mutable Mutex mailbox_mutex_{LockRank::kServeMailbox};
   CondVar mailbox_cv_;  ///< Signals the drive thread.
   CondVar idle_cv_;     ///< Signals drain() waiters.
-  std::deque<std::shared_ptr<Workload>> queue_
+  std::deque<std::unique_ptr<Workload>> queue_
       ENTK_GUARDED_BY(mailbox_mutex_);
   std::vector<std::uint64_t> pending_cancels_
       ENTK_GUARDED_BY(mailbox_mutex_);
@@ -308,17 +320,17 @@ class Service {
   std::atomic<bool> shutdown_{false};
   std::size_t running_count_ ENTK_GUARDED_BY(mailbox_mutex_) = 0;
 
-  /// Workload + tenant registry: what client threads read back.
+  /// Workload + tenant registry: what client threads read back. The
+  /// deque grows without copying its records; the map never moves its
+  /// tenants, which records and workloads point to.
   mutable Mutex registry_mutex_{LockRank::kServeRegistry};
-  std::uint64_t next_id_ ENTK_GUARDED_BY(registry_mutex_) = 1;
-  std::map<std::uint64_t, std::shared_ptr<Workload>> workloads_
-      ENTK_GUARDED_BY(registry_mutex_);
+  std::deque<Record> records_ ENTK_GUARDED_BY(registry_mutex_);
   std::map<std::string, Tenant, std::less<>> tenants_
       ENTK_GUARDED_BY(registry_mutex_);
 
   // Drive-thread only.
   /// Running workloads, in admission order.
-  std::vector<std::shared_ptr<Workload>> active_;
+  std::vector<std::unique_ptr<Workload>> active_;
   /// Running workloads with news since the drive predicate last ran:
   /// a settled unit, a cancel, a flush, or a fresh start.
   std::vector<Workload*> news_;

@@ -36,29 +36,29 @@ Result<BatchJobId> BatchQueue::submit(BatchJobRequest request) {
     return make_error(Errc::kInvalidArgument,
                       "batch job walltime must be positive");
   }
-  const BatchJobId id = next_id_++;
+  const BatchJobId id = states_.size() + 1;
+  const Count cores = request.cores;
   JobRecord record;
   record.id = id;
   record.request = std::move(request);
   jobs_.emplace(id, std::move(record));
+  states_.push_back(BatchJobState::kQueued);
 
   const auto& profile = cluster_.profile();
   const Count nodes = static_cast<Count>(
-      std::ceil(static_cast<double>(jobs_.at(id).request.cores) /
+      std::ceil(static_cast<double>(cores) /
                 static_cast<double>(profile.cores_per_node)));
   const Duration wait = profile.batch_base_wait +
                         profile.batch_wait_per_node *
                             static_cast<double>(nodes);
   engine_.schedule(wait, [this, id] { make_eligible(id); });
-  ENTK_DEBUG("sim.batch") << "job " << id << " submitted ("
-                          << jobs_.at(id).request.cores << " cores, wait "
-                          << wait << " s)";
+  ENTK_DEBUG("sim.batch") << "job " << id << " submitted (" << cores
+                          << " cores, wait " << wait << " s)";
   return id;
 }
 
 void BatchQueue::make_eligible(BatchJobId id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end() || it->second.state != BatchJobState::kQueued) {
+  if (state_of(id) != BatchJobState::kQueued) {
     return;  // cancelled while waiting
   }
   eligible_.push_back(id);
@@ -70,15 +70,12 @@ void BatchQueue::try_start_jobs() {
     auto allocation = cluster_.allocate(job.request.cores);
     ENTK_CHECK(allocation.ok(), "can_allocate/allocate disagree");
     job.allocation = allocation.take();
-    job.state = BatchJobState::kRunning;
     const BatchJobId id = job.id;
+    state_of(id) = BatchJobState::kRunning;
     job.walltime_event = engine_.schedule(job.request.walltime, [this, id] {
-      auto jt = jobs_.find(id);
-      if (jt == jobs_.end() || jt->second.state != BatchJobState::kRunning) {
-        return;
-      }
+      if (state_of(id) != BatchJobState::kRunning) return;
       ENTK_WARN("sim.batch") << "job " << id << " hit its walltime";
-      finish(jt->second, BatchJobState::kExpired);
+      finish(jobs_.at(id), BatchJobState::kExpired);
     });
     ENTK_DEBUG("sim.batch") << "job " << id << " started at t="
                             << engine_.now();
@@ -91,11 +88,11 @@ void BatchQueue::try_start_jobs() {
   // own backfilling *inside* an allocation.)
   while (!eligible_.empty()) {
     const BatchJobId id = eligible_.front();
-    const auto it = jobs_.find(id);
-    if (it == jobs_.end() || it->second.state != BatchJobState::kQueued) {
+    if (state_of(id) != BatchJobState::kQueued) {
       eligible_.pop_front();
       continue;
     }
+    const auto it = jobs_.find(id);
     if (!cluster_.can_allocate(it->second.request.cores)) break;
     eligible_.pop_front();
     start_job(it->second);
@@ -105,11 +102,11 @@ void BatchQueue::try_start_jobs() {
   // Pass 2 — EASY backfill: later jobs may start out of order when
   // they fit in the idle cores the blocked head cannot use.
   for (auto queue_it = eligible_.begin(); queue_it != eligible_.end();) {
-    const auto it = jobs_.find(*queue_it);
-    if (it == jobs_.end() || it->second.state != BatchJobState::kQueued) {
+    if (state_of(*queue_it) != BatchJobState::kQueued) {
       queue_it = eligible_.erase(queue_it);
       continue;
     }
+    const auto it = jobs_.find(*queue_it);
     if (cluster_.can_allocate(it->second.request.cores)) {
       start_job(it->second);
       queue_it = eligible_.erase(queue_it);
@@ -120,34 +117,27 @@ void BatchQueue::try_start_jobs() {
 }
 
 Status BatchQueue::complete(BatchJobId id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return make_error(Errc::kNotFound,
-                      "unknown batch job " + std::to_string(id));
-  }
-  if (it->second.state != BatchJobState::kRunning) {
+  const auto state = this->state(id);
+  if (!state.ok()) return state.status();
+  if (state.value() != BatchJobState::kRunning) {
     return make_error(Errc::kFailedPrecondition,
                       "batch job " + std::to_string(id) + " is " +
-                          batch_job_state_name(it->second.state) +
+                          batch_job_state_name(state.value()) +
                           ", not running");
   }
-  finish(it->second, BatchJobState::kCompleted);
+  finish(jobs_.at(id), BatchJobState::kCompleted);
   return Status::ok();
 }
 
 Status BatchQueue::cancel(BatchJobId id) {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
-    return make_error(Errc::kNotFound,
-                      "unknown batch job " + std::to_string(id));
-  }
-  JobRecord& job = it->second;
-  switch (job.state) {
+  const auto state = this->state(id);
+  if (!state.ok()) return state.status();
+  switch (state.value()) {
     case BatchJobState::kQueued:
-      end_job(job, BatchJobState::kCancelled);
+      end_job(jobs_.at(id), BatchJobState::kCancelled);
       return Status::ok();
     case BatchJobState::kRunning:
-      finish(job, BatchJobState::kCancelled);
+      finish(jobs_.at(id), BatchJobState::kCancelled);
       return Status::ok();
     default:
       return make_error(Errc::kFailedPrecondition,
@@ -157,32 +147,33 @@ Status BatchQueue::cancel(BatchJobId id) {
 }
 
 Result<BatchJobState> BatchQueue::state(BatchJobId id) const {
-  const auto it = jobs_.find(id);
-  if (it == jobs_.end()) {
+  if (id == 0 || id > states_.size()) {
     return make_error(Errc::kNotFound,
                       "unknown batch job " + std::to_string(id));
   }
-  return it->second.state;
+  return states_[id - 1];
 }
 
 void BatchQueue::finish(JobRecord& job, BatchJobState final_state) {
-  ENTK_CHECK(job.state == BatchJobState::kRunning,
+  ENTK_CHECK(state_of(job.id) == BatchJobState::kRunning,
              "finish() requires a running job");
   if (job.walltime_event != kInvalidEvent) {
     engine_.cancel(job.walltime_event);
     job.walltime_event = kInvalidEvent;
   }
   cluster_.release(job.allocation);
-  job.allocation = Allocation{};
   end_job(job, final_state);
   // Freed cores may unblock the FIFO head.
   try_start_jobs();
 }
 
 void BatchQueue::end_job(JobRecord& job, BatchJobState final_state) {
-  job.state = final_state;
-  job.request.on_start = nullptr;
-  const auto on_end = std::exchange(job.request.on_end, nullptr);
+  const BatchJobId id = job.id;
+  state_of(id) = final_state;
+  // The record goes before on_end runs, closures and all: on_end may
+  // submit jobs, and nothing reads an ended job but its state byte.
+  const auto on_end = std::move(job.request.on_end);
+  jobs_.erase(id);
   if (on_end) on_end(final_state);
 }
 

@@ -13,6 +13,7 @@
 #include <deque>
 #include <functional>
 #include <unordered_map>
+#include <vector>
 
 #include "sim/cluster.hpp"
 #include "sim/engine.hpp"
@@ -21,7 +22,7 @@ namespace entk::sim {
 
 using BatchJobId = std::uint64_t;
 
-enum class BatchJobState {
+enum class BatchJobState : std::uint8_t {
   kQueued,     ///< Waiting for queue delay and/or free cores.
   kRunning,    ///< Holding an allocation.
   kCompleted,  ///< Owner called complete() in time.
@@ -68,30 +69,36 @@ class BatchQueue {
 
   Result<BatchJobState> state(BatchJobId id) const;
 
+  /// Jobs queued or running: the only ones the queue keeps a record of.
+  std::size_t live_jobs() const { return jobs_.size(); }
+
  private:
-  /// Kept after the job ends, so state() and a second complete() or
-  /// cancel() still answer; its callbacks and allocation are released.
+  /// A queued or running job; erased when it ends.
   struct JobRecord {
     BatchJobId id = 0;
     BatchJobRequest request;
-    BatchJobState state = BatchJobState::kQueued;
     Allocation allocation;
     EventId walltime_event = kInvalidEvent;
   };
 
+  BatchJobState& state_of(BatchJobId id) { return states_[id - 1]; }
   void make_eligible(BatchJobId id);
   void try_start_jobs();
   /// Ends a running job: releases its cores, then end_job().
   void finish(JobRecord& job, BatchJobState final_state);
-  /// Sets the final state, drops both callbacks and fires on_end.
+  /// Records the final state, erases the job and fires its on_end.
   void end_job(JobRecord& job, BatchJobState final_state);
 
   Engine& engine_;
   Cluster& cluster_;
   BatchPolicy policy_;
   std::unordered_map<BatchJobId, JobRecord> jobs_;
+  /// states_[id - 1] is job `id`'s state: one byte per job ever
+  /// submitted, so state() and a second complete() or cancel() still
+  /// answer once the job's record is gone. A job is in jobs_ exactly
+  /// while it is queued or running.
+  std::vector<BatchJobState> states_;
   std::deque<BatchJobId> eligible_;  // FIFO start order
-  BatchJobId next_id_ = 1;
 };
 
 }  // namespace entk::sim

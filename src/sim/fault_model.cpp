@@ -41,15 +41,21 @@ void FaultModel::record(const std::string& what) {
   ENTK_INFO("sim.faults") << trace_.back();
 }
 
-void FaultModel::watch_nodes(Count nodes,
-                             std::function<void()> on_node_failure) {
-  if (spec_.node_mtbf <= 0.0 || nodes < 1) return;
+std::size_t FaultModel::watch_nodes(Count nodes,
+                                    std::function<void()> on_node_failure) {
+  if (spec_.node_mtbf <= 0.0 || nodes < 1) return kNoConsumer;
   auto consumer = std::make_unique<Consumer>();
   consumer->nodes_left = nodes;
   consumer->rng = fork_rng_.split();
   consumer->handler = std::move(on_node_failure);
   consumers_.push_back(std::move(consumer));
   arm(consumers_.size() - 1);
+  return consumers_.size() - 1;
+}
+
+void FaultModel::unwatch(std::size_t consumer) {
+  ENTK_CHECK(consumer < consumers_.size(), "unwatch of an unknown consumer");
+  consumers_[consumer]->handler = nullptr;
 }
 
 void FaultModel::arm(std::size_t consumer_index) {

@@ -54,13 +54,22 @@ class FaultModel {
 
   const FaultSpec& spec() const { return spec_; }
 
+  static constexpr std::size_t kNoConsumer = static_cast<std::size_t>(-1);
+
   /// Registers a consumer (a pilot agent) owning `nodes` nodes;
   /// `on_node_failure` fires once per node lost. Each consumer draws
   /// from its own stream, forked in registration order, so adding a
   /// consumer never perturbs the failure times of the others. The
   /// handler stops firing once the consumer has lost all its nodes or
-  /// the spec's max_node_failures cap is reached.
-  void watch_nodes(Count nodes, std::function<void()> on_node_failure);
+  /// the spec's max_node_failures cap is reached. Returns the
+  /// consumer's index for unwatch(), or kNoConsumer when its nodes
+  /// cannot fail (no MTBF, or no nodes).
+  std::size_t watch_nodes(Count nodes, std::function<void()> on_node_failure);
+
+  /// Drops a consumer's handler: its owner is going away. The consumer
+  /// keeps its stream and its armed event, so its failures still fire
+  /// and are traced exactly as before; they just reach no one.
+  void unwatch(std::size_t consumer);
 
   /// Draws whether the next unit launch fails transiently.
   bool draw_launch_failure();

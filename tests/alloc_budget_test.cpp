@@ -188,12 +188,15 @@ TEST(AllocBudget, BackloggedSalUnitsStayWithinTheirAllocationBudget) {
 constexpr double kServedAllocationsPerUnitBudget = 26.62 * 1.10;
 
 /// Bytes a Service keeps per workload it has served (requested sizes,
-/// the test run alone): 2188.5 when this budget was set, plus 10%. It
-/// kept 2637.2 while a finished workload held its WorkloadSpec. What is
-/// still kept: the pilot and its agent, the batch-queue job record, the
-/// session's uid counter families and its interned ordinal, and the
-/// workload's own record for STATUS and RESULTS.
-constexpr double kRetainedBytesPerWorkloadBudget = 2188.5 * 1.10;
+/// the test run alone): 118.0 when this budget was set, plus 10%. What
+/// is kept: the compact record STATUS and RESULTS print (112 bytes, in
+/// 448-byte deque chunks of four, plus the deque's map) and the batch
+/// queue's one byte of final job state. It kept 2188.5 while the
+/// pilot, its agent, the batch-queue job record, the session's uid
+/// families and interned name, and a 512-byte workload record behind a
+/// shared_ptr outlived the session, and 2637.2 while a finished
+/// workload also held its WorkloadSpec.
+constexpr double kRetainedBytesPerWorkloadBudget = 118.0 * 1.10;
 
 /// Runs `service` on a drive thread until it has served `mix`, queued
 /// before the thread starts; returns the allocations the drain made.

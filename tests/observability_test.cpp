@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -141,6 +142,26 @@ TEST(SessionOrdinal, InterningStaysDistinctAndStableOverManyNames) {
     ASSERT_EQ(obs::session_label(ordinals[i]), name);
   }
   EXPECT_EQ(obs::session_label(sorted.back() + 1000000), "");
+}
+
+TEST(SessionOrdinal, ANameGoesWithItsLastUserUnlessRecordingWasOn) {
+  const std::string name = "ordinal-release-probe";
+  const std::uint32_t first = obs::session_ordinal(name);
+  ASSERT_EQ(obs::session_ordinal(name), first);  // a second user
+  obs::release_session_ordinal(first);
+  EXPECT_EQ(obs::session_label(first), name);  // one user left
+  obs::release_session_ordinal(first);
+  if (obs::TraceRecorder::instance().ever_enabled()) {
+    // Events recorded under the name may still be exported.
+    EXPECT_EQ(obs::session_label(first), name);
+    EXPECT_EQ(obs::session_ordinal(name), first);
+  } else {
+    // Nothing was recorded under it: the name goes, and the next new
+    // name takes its ordinal.
+    EXPECT_EQ(obs::session_label(first), "");
+    EXPECT_EQ(obs::session_ordinal("ordinal-release-probe.next"), first);
+    EXPECT_EQ(obs::session_label(first), "ordinal-release-probe.next");
+  }
 }
 
 TEST(Metrics, WellKnownCountersAreSharedProcessWide) {
@@ -350,6 +371,43 @@ TEST(ChromeTrace, SalExampleWorkloadProducesAValidTrace) {
   EXPECT_NE(json.find("\"unit.exec\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"b\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"e\""), std::string::npos);
+}
+
+TEST(ChromeTrace, AnEndedSessionKeepsItsLabelInTheExportedTrace) {
+  auto& recorder = obs::TraceRecorder::instance();
+  recorder.clear();
+  recorder.set_enabled(true);
+  const std::string name = "ended-session-label";
+  {
+    auto registry = kernels::KernelRegistry::with_builtin_kernels();
+    pilot::SimBackend backend(sim::localhost_profile());
+    core::Runtime runtime(backend, registry);
+    core::ResourceOptions options;
+    options.cores = 4;
+    auto session = runtime.create_session({name, options});
+    ASSERT_TRUE(session.ok());
+    ASSERT_TRUE(session.value()->allocate().is_ok());
+    core::EnsembleOfPipelines pattern(2, 1);
+    pattern.set_stage(1, [](const core::StageContext&) {
+      core::TaskSpec spec;
+      spec.kernel = "misc.sleep";
+      spec.args.set("duration", 1.0);
+      return spec;
+    });
+    auto report = session.value()->run(pattern);
+    ASSERT_TRUE(report.ok());
+    ASSERT_TRUE(report.value().outcome.is_ok());
+    ASSERT_TRUE(session.value()->deallocate().is_ok());
+  }  // the session, its unit manager and its pilot are gone
+  recorder.set_enabled(false);
+  const auto events = recorder.snapshot();
+  recorder.clear();
+
+  const std::string json = obs::to_chrome_trace(events);
+  JsonParser parser(json);
+  EXPECT_TRUE(parser.valid());
+  EXPECT_NE(json.find("\"args\":{\"session\":\"" + name + "\"}"),
+            std::string::npos);
 }
 
 // ---------------------------------------------- trace-derived profile

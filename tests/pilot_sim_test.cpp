@@ -1,8 +1,15 @@
 // Integration tests of the pilot runtime on the simulated backend.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "core/session.hpp"
+#include "kernels/registry.hpp"
 #include "pilot/agent.hpp"
 #include "pilot/pilot_manager.hpp"
+#include "pilot/sim_agent.hpp"
 #include "pilot/sim_backend.hpp"
 #include "pilot/unit_manager.hpp"
 
@@ -298,6 +305,27 @@ TEST_F(SimPilotTest, CancelAndDeallocateReturnTheClusterCores) {
   EXPECT_EQ(cluster.free_cores(), cluster.total_cores());
 }
 
+TEST_F(SimPilotTest, PilotCancelledWhileItsAgentBootstrapsStaysCanceled) {
+  PilotManager manager(backend_);
+  PilotDescription description;
+  description.resource = "localhost";
+  description.cores = 8;
+  description.runtime = 1000.0;
+  auto pilot = manager.submit_pilot(description);
+  ASSERT_TRUE(pilot.ok());
+  const sim::BatchJobId container = pilot.value()->container();
+  while (backend_.batch().state(container).value() !=
+         sim::BatchJobState::kRunning) {
+    ASSERT_TRUE(backend_.engine().step());
+  }
+  ASSERT_TRUE(manager.cancel(pilot.value()).is_ok());
+  // The bootstrap still completes inside the dead container; the pilot
+  // stays canceled.
+  backend_.engine().run();
+  EXPECT_EQ(pilot.value()->state(), PilotState::kCanceled);
+  EXPECT_EQ(pilot.value()->active_at(), kNoTime);
+}
+
 TEST_F(SimPilotTest, PilotValidation) {
   PilotManager manager(backend_);
   PilotDescription wrong_machine;
@@ -317,6 +345,148 @@ TEST_F(SimPilotTest, PilotValidation) {
                 .status()
                 .code(),
             Errc::kNotFound);
+}
+
+// A pilot, and the SimAgent inside it, live only as long as their
+// session: nothing the engine or the fault model holds may reach an
+// agent once it is freed. Each test frees an agent while something
+// still points at it, then runs the engine to empty; under asan a
+// callback that reached the freed agent is a heap-use-after-free.
+
+/// A one-pilot session of `runtime`; nullptr on failure.
+std::shared_ptr<core::Session> make_session(core::Runtime& runtime,
+                                            const std::string& name,
+                                            Count cores) {
+  core::ResourceOptions options;
+  options.cores = cores;
+  options.runtime = 1.0e6;
+  auto session = runtime.create_session({name, options});
+  return session.ok() ? session.take() : nullptr;
+}
+
+TEST(AgentLifetime, SessionFreedWithUnitsHoldingCoresCancelsTheirEvents) {
+  SimBackend backend(sim::localhost_profile());
+  const auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  core::Runtime runtime(backend, registry);
+  auto session = make_session(runtime, "lifetime.inflight", 8);
+  ASSERT_NE(session, nullptr);
+  ASSERT_TRUE(session->allocate().is_ok());
+  std::vector<UnitDescription> descriptions;
+  for (int i = 0; i < 8; ++i) {
+    UnitDescription description = simple_unit(1000.0);
+    description.retry.execution_timeout = 2000.0;
+    descriptions.push_back(description);
+  }
+  auto units = session->unit_manager()->submit_units(descriptions);
+  ASSERT_TRUE(units.ok());
+  ASSERT_TRUE(backend
+                  .drive_until([&] {
+                    for (const auto& unit : units.value()) {
+                      if (unit->state() != UnitState::kExecuting) {
+                        return false;
+                      }
+                    }
+                    return true;
+                  })
+                  .is_ok());
+  // Each of the 8 units holds cores with its completion and its
+  // execution timeout pending.
+  EXPECT_EQ(backend.engine().pending_events(), 16u + 1u);  // + walltime
+
+  ASSERT_TRUE(session->deallocate().is_ok());
+  session.reset();
+  EXPECT_EQ(backend.engine().pending_events(), 0u);
+  backend.engine().run();
+  for (const auto& unit : units.value()) {
+    EXPECT_EQ(unit->state(), UnitState::kExecuting);
+  }
+}
+
+TEST(AgentLifetime, PilotCancelledBeforeBootstrapCancelsItsBootstrapEvent) {
+  SimBackend backend(sim::localhost_profile());
+  const auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  core::Runtime runtime(backend, registry);
+  auto session = make_session(runtime, "lifetime.bootstrap", 8);
+  ASSERT_NE(session, nullptr);
+  // Cancel the pilot between the start of its container and the end of
+  // its agent's bootstrap, from inside allocate()'s wait, and stop the
+  // wait there: the bootstrap event is still pending.
+  bool cancelled = false;
+  const std::uint64_t hook = backend.add_step_hook([&]() -> Status {
+    if (cancelled || session->pilots().empty()) return Status::ok();
+    const PilotPtr& pilot = session->pilots().front();
+    const auto container = backend.batch().state(pilot->container());
+    if (!container.ok() || container.value() != sim::BatchJobState::kRunning) {
+      return Status::ok();
+    }
+    const auto* agent = dynamic_cast<const SimAgent*>(pilot->agent());
+    EXPECT_TRUE(agent != nullptr && !agent->started());
+    cancelled = true;
+    ENTK_RETURN_IF_ERROR(runtime.pilot_manager().cancel(pilot));
+    return make_error(Errc::kCancelled, "cancelled during bootstrap");
+  });
+  const Status allocated = session->allocate();
+  backend.remove_step_hook(hook);
+  ASSERT_TRUE(cancelled);
+  EXPECT_FALSE(allocated.is_ok());
+  EXPECT_EQ(session->pilot()->state(), PilotState::kCanceled);
+
+  EXPECT_EQ(backend.engine().pending_events(), 1u);  // the bootstrap
+  session.reset();
+  EXPECT_EQ(backend.engine().pending_events(), 0u);
+  backend.engine().run();
+}
+
+TEST(AgentLifetime, NodeFailuresAfterASessionEndsReachNoFreedAgent) {
+  sim::MachineProfile machine = sim::localhost_profile();
+  machine.fault.seed = 0x11fe;
+  machine.fault.node_mtbf = 4000.0;
+  SimBackend backend(machine);
+  const auto registry = kernels::KernelRegistry::with_builtin_kernels();
+  core::Runtime runtime(backend, registry);
+
+  // Session A holds one node and ends at once; B holds two and runs.
+  auto a = make_session(runtime, "lifetime.a", 8);
+  ASSERT_NE(a, nullptr);
+  ASSERT_TRUE(a->allocate().is_ok());
+  ASSERT_TRUE(a->deallocate().is_ok());
+  a.reset();
+  const TimePoint a_ended = backend.engine().now();
+
+  auto b = make_session(runtime, "lifetime.b", 16);
+  ASSERT_NE(b, nullptr);
+  ASSERT_TRUE(b->allocate().is_ok());
+  std::vector<UnitDescription> descriptions;
+  for (int i = 0; i < 4; ++i) {
+    UnitDescription description = simple_unit(3000.0);
+    description.retry.max_retries = 3;
+    descriptions.push_back(description);
+  }
+  auto units = b->unit_manager()->submit_units(descriptions);
+  ASSERT_TRUE(units.ok());
+  ASSERT_TRUE(b->unit_manager()->wait_units(units.value()).is_ok());
+  ASSERT_TRUE(b->deallocate().is_ok());
+  b.reset();
+  backend.engine().run();
+
+  // A's stream kept firing after A was freed: its failures are traced
+  // as before, and reached no one.
+  const std::vector<std::string>& trace = backend.faults()->trace();
+  bool a_failed_after_it_ended = false;
+  for (const std::string& entry : trace) {
+    if (entry.find("consumer=0") != std::string::npos &&
+        std::stod(entry.substr(2)) > a_ended) {
+      a_failed_after_it_ended = true;
+    }
+  }
+  EXPECT_TRUE(a_failed_after_it_ended);
+  // The trace of the runtime that kept every pilot for its own life.
+  const std::vector<std::string> expected = {
+      "t=362.027475 node_failure consumer=1 nodes_left=1",
+      "t=992.369355 node_failure consumer=1 nodes_left=0",
+      "t=2141.152715 node_failure consumer=0 nodes_left=0",
+  };
+  EXPECT_EQ(trace, expected);
 }
 
 }  // namespace

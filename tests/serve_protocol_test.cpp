@@ -71,6 +71,45 @@ TEST(ServeJson, EveryTruncationPrefixOfAValidFrameIsRejected) {
   }
 }
 
+TEST(ServeJson, EveryBitFlipOfAValidFrameIsRejectedOrAnswered) {
+  // A corrupted frame of each verb: every single-bit flip is either
+  // refused by the decoder or answered by the service with a reply
+  // that is itself valid JSON. A fresh service per verb, so a flipped
+  // SHUTDOWN or a filled queue only affects its own verb's sweep.
+  const std::string frames[] = {
+      R"({"verb":"SUBMIT","tenant":"alice","name":"sweep",)"
+      R"("workload":"backend = sim\nmachine = localhost\ncores = 2\n)"
+      R"(pattern = bag\nsimulations = 2\n\n[task]\n)"
+      R"(kernel = misc.sleep\nduration = 1\n"})",
+      R"({"verb":"STATUS","id":1})",
+      R"({"verb":"CANCEL","id":1})",
+      R"({"verb":"RESULTS","id":1})",
+      R"({"verb":"STATS"})",
+      R"({"verb":"SHUTDOWN"})",
+  };
+  std::size_t answered = 0;
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(parse_request(frame).ok()) << frame;
+    auto created = Service::create(ServiceConfig{});
+    ASSERT_TRUE(created.ok());
+    Service& service = *created.value();
+    // One workload to answer STATUS, CANCEL and RESULTS about.
+    ASSERT_TRUE(Json::parse(service.handle_line(frames[0])).ok());
+    for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+      std::string flipped = frame;
+      flipped[bit / 8] =
+          static_cast<char>(flipped[bit / 8] ^ (1 << (bit % 8)));
+      if (!parse_request(flipped).ok()) continue;
+      ++answered;
+      const std::string reply = service.handle_line(flipped);
+      EXPECT_TRUE(Json::parse(reply).ok())
+          << "bit " << bit << " of " << frame << " -> " << reply;
+    }
+  }
+  // Flips inside ids, names and the workload text still decode.
+  EXPECT_GT(answered, 0u);
+}
+
 TEST(ServeJson, DepthBombIsRejectedWithoutRecursionBlowup) {
   std::string bomb(100000, '[');
   EXPECT_FALSE(Json::parse(bomb).ok());

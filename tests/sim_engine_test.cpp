@@ -3,6 +3,8 @@
 
 #include <deque>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "sim/batch.hpp"
 #include "sim/cluster.hpp"
@@ -387,6 +389,58 @@ TEST_F(BatchQueueTest, FinishedJobReleasesItsCallbacks) {
        {completed, expired, cancelled_running, cancelled_queued}) {
     EXPECT_EQ(batch_.complete(id).code(), Errc::kFailedPrecondition);
     EXPECT_EQ(batch_.cancel(id).code(), Errc::kFailedPrecondition);
+  }
+  EXPECT_EQ(cluster_.free_cores(), 32);
+}
+
+TEST_F(BatchQueueTest, EndedJobsKeepOnlyTheirFinalState) {
+  // A job's record goes when the job ends; its state() and the answers
+  // to a second complete() or cancel() stay what they were.
+  const auto submit = [&](Duration walltime) {
+    BatchJobRequest request;
+    request.cores = 4;
+    request.walltime = walltime;
+    request.on_end = [](BatchJobState) {};
+    auto id = batch_.submit(std::move(request));
+    EXPECT_TRUE(id.ok());
+    return id.value();
+  };
+  const BatchJobId completed = submit(100.0);
+  const BatchJobId expired = submit(10.0);
+  const BatchJobId cancelled_running = submit(100.0);
+  const BatchJobId cancelled_queued = submit(100.0);
+  EXPECT_EQ(batch_.live_jobs(), 4u);
+  ASSERT_TRUE(batch_.cancel(cancelled_queued).is_ok());
+  EXPECT_EQ(batch_.live_jobs(), 3u);
+  engine_.run_until(5.0);
+  ASSERT_TRUE(batch_.complete(completed).is_ok());
+  ASSERT_TRUE(batch_.cancel(cancelled_running).is_ok());
+  EXPECT_EQ(batch_.live_jobs(), 1u);
+  engine_.run();
+  EXPECT_EQ(batch_.live_jobs(), 0u);
+
+  const std::pair<BatchJobId, BatchJobState> ended[] = {
+      {completed, BatchJobState::kCompleted},
+      {expired, BatchJobState::kExpired},
+      {cancelled_running, BatchJobState::kCancelled},
+      {cancelled_queued, BatchJobState::kCancelled}};
+  for (const auto& [id, state] : ended) {
+    const std::string job = "batch job " + std::to_string(id);
+    EXPECT_EQ(batch_.state(id).value(), state);
+    const Status complete = batch_.complete(id);
+    EXPECT_EQ(complete.code(), Errc::kFailedPrecondition);
+    EXPECT_EQ(complete.message(), job + " is " +
+                                      batch_job_state_name(state) +
+                                      ", not running");
+    const Status cancel = batch_.cancel(id);
+    EXPECT_EQ(cancel.code(), Errc::kFailedPrecondition);
+    EXPECT_EQ(cancel.message(), job + " already finished");
+  }
+  // Ids never issued stay unknown.
+  for (const BatchJobId id : {BatchJobId{0}, cancelled_queued + 1}) {
+    EXPECT_EQ(batch_.state(id).status().code(), Errc::kNotFound);
+    EXPECT_EQ(batch_.complete(id).code(), Errc::kNotFound);
+    EXPECT_EQ(batch_.cancel(id).code(), Errc::kNotFound);
   }
   EXPECT_EQ(cluster_.free_cores(), 32);
 }
